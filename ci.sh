@@ -13,6 +13,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> workspace tests (every crate's unit, integration and doc tests)"
+cargo test --workspace -q
+
 echo "==> benches compile"
 cargo bench --workspace --no-run
 

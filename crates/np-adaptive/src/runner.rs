@@ -39,7 +39,7 @@ pub struct FrameResult {
 ///
 /// Construction compiles both networks for the given input shape and
 /// pre-sizes one shared scratch; [`Self::run_frame`] then performs zero
-/// heap allocations per frame (with a serial pool).
+/// heap allocations per frame at any pool width.
 pub struct FrameRunner {
     little: Arc<QuantizedProgram>,
     big: Arc<QuantizedProgram>,

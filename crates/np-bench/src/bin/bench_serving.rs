@@ -349,8 +349,8 @@ fn main() {
     }
 
     // ── Zero-allocation steady state ───────────────────────────────────
-    // Serial pool (the counting-allocator convention: wider pools pay
-    // only the documented thread::scope spawns). After warm-up the
+    // Serial pool, so the count covers the server alone (tests/zero_alloc.rs
+    // pins the same loop at pool width 2). After warm-up the
     // submit/tick/commit loop — including a retire/re-admit cycle onto a
     // recycled slot — must not touch the heap.
     let mut zserver = Server::new(

@@ -381,8 +381,7 @@ impl FloatProgram {
     /// intermediate into `scratch`'s planned arena, and returns the output
     /// slice. Bit-identical to [`Sequential::forward_with`] on the
     /// `[1, C, H, W]` batch at any pool width; allocation-free once
-    /// `scratch` is warm (with a serial pool — wider pools allocate only
-    /// inside `std::thread::scope`).
+    /// `scratch` is warm.
     ///
     /// # Panics
     ///

@@ -202,6 +202,16 @@ fn batch_loss(
     value
 }
 
+/// One batch shard of data-parallel training: a worker clone, its slice
+/// of the batch, and the weighted loss it reports.
+struct Shard<'w> {
+    worker: &'w mut Sequential,
+    x: Tensor,
+    y: TrainTarget,
+    weight: f32,
+    loss: f32,
+}
+
 /// Trains `model` on `data`, returning per-epoch statistics.
 ///
 /// With `config.threads > 1` each batch is sharded across worker clones of
@@ -247,30 +257,36 @@ pub fn fit(
                 model.zero_grad();
                 batch_loss(model, &bx, &by, config.loss, 1.0, Pool::new(threads))
             } else {
-                // Shard the batch across worker clones.
+                // Shard the batch across worker clones, one pool item per
+                // shard. Workers run serial kernels: the batch shards ARE
+                // the parallelism.
                 let shard = batch_n.div_ceil(threads);
-                let shards: Vec<&[usize]> = batch_idx.chunks(shard).collect();
-                let loss_kind = config.loss;
-                let results: Vec<f32> = std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for (worker, idxs) in workers.iter_mut().zip(shards.iter()) {
+                let mut shards: Vec<Shard> = workers
+                    .iter_mut()
+                    .zip(batch_idx.chunks(shard))
+                    .map(|(worker, idxs)| {
                         worker.copy_params_from(model);
                         worker.zero_grad();
-                        let (bx, by) = data.gather(idxs);
+                        let (x, y) = data.gather(idxs);
                         let weight = idxs.len() as f32 / batch_n as f32;
-                        // Workers run serial kernels: the batch shards ARE
-                        // the parallelism, nesting pools would oversubscribe.
-                        handles.push(scope.spawn(move || {
-                            batch_loss(worker, &bx, &by, loss_kind, weight, Pool::serial()) * weight
-                        }));
-                    }
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect()
+                        Shard {
+                            worker,
+                            x,
+                            y,
+                            weight,
+                            loss: 0.0,
+                        }
+                    })
+                    .collect();
+                let loss_kind = config.loss;
+                Pool::new(threads).for_each_mut(&mut shards, |_, s| {
+                    s.loss = batch_loss(s.worker, &s.x, &s.y, loss_kind, s.weight, Pool::serial())
+                        * s.weight;
                 });
+                let n_shards = shards.len();
+                let loss: f32 = shards.iter().map(|s| s.loss).sum();
                 model.zero_grad();
-                for worker in &workers[..shards.len()] {
+                for worker in &workers[..n_shards] {
                     model.accumulate_grads_from(worker);
                 }
                 // Gradients flow back explicitly; batch-norm running
@@ -278,7 +294,7 @@ pub fn fit(
                 // EMA is a valid estimate — it has seen a shard of every
                 // batch).
                 model.copy_norm_stats_from(&workers[0]);
-                results.iter().sum()
+                loss
             };
             opt.step(&mut model.params_mut());
             epoch_loss += loss_value * batch_n as f32;

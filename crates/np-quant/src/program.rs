@@ -856,8 +856,8 @@ impl QuantizedProgram {
     /// slice (borrowed from the scratch) and its shape.
     ///
     /// After `scratch` is warm (first call, or [`QScratch::for_program`])
-    /// this performs **zero heap allocations** when `pool` is serial; on a
-    /// wider pool only `std::thread::scope`'s per-region spawns allocate.
+    /// this performs **zero heap allocations** at any pool width (pool
+    /// regions dispatch to resident workers without allocating).
     /// Outputs are bit-identical to [`QuantizedNetwork::run_int`] at any
     /// pool width.
     ///
@@ -938,7 +938,7 @@ impl QuantizedProgram {
     /// streams each weight row across all frames. Outputs are
     /// bit-identical to `batch` independent [`Self::run_int_prepacked`]
     /// calls, at any pool width, and a warm scratch makes the pass
-    /// allocation-free on a serial pool — the same guarantees as the
+    /// allocation-free at any pool width — the same guarantees as the
     /// per-frame entry.
     ///
     /// # Panics

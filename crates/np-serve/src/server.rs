@@ -15,9 +15,8 @@
 //!    completes this tick.
 //! 2. **Little pass** — run the little model for all selected sessions in
 //!    parallel ([`Pool::for_each_mut`] work-stealing), each into its own
-//!    private arena. When fewer sessions than pool threads are selected,
-//!    the spare threads fold into each session's inference instead of
-//!    idling.
+//!    private arena with serial inner kernels. When only one session is
+//!    selected, its inference gets the whole pool instead.
 //! 3. **Policy + coalesce** — apply each session's OP policy serially in
 //!    selection order (per-session state only, so order across sessions
 //!    is irrelevant to the results), and gather escalated frames — from
@@ -186,8 +185,7 @@ pub struct StreamStats {
 /// Session-multiplexing inference server. See the module docs for the
 /// tick anatomy; construction is the only allocating phase — admission
 /// reuses slab slots and the serving loop is zero-alloc in steady state
-/// (serial pool; wider pools pay only the documented
-/// `std::thread::scope` spawns).
+/// at any pool width.
 pub struct Server {
     little: Arc<QuantizedProgram>,
     big: Arc<QuantizedProgram>,
@@ -341,23 +339,24 @@ impl Server {
             return &self.results;
         }
 
-        // Phase 2: the little model for every selected session, in
-        // parallel, each into its own arena. Spare threads (fewer
-        // sessions than workers) fold into the per-session inference.
+        // Phase 2: the little model for every selected session, each into
+        // its own arena. A lone session gets the whole pool for its
+        // inference; several run in parallel across sessions with serial
+        // inner work (a region nested in another runs inline anyway).
         let n_sel = self.selected.len();
-        let inner = if self.pool.threads() > n_sel {
-            Pool::new(self.pool.threads() / n_sel)
-        } else {
-            Pool::serial()
-        };
         let fl = self.frame_len;
         let little = &self.little;
         let t_little = np_trace::start();
-        self.pool.for_each_mut(self.slab.slots_mut(), |_, slot| {
-            if slot.selected {
-                slot.run_little(little, inner, fl);
-            }
-        });
+        if n_sel == 1 {
+            let idx = self.selected[0] as usize;
+            self.slab.slot_mut(idx).run_little(little, self.pool, fl);
+        } else {
+            self.pool.for_each_mut(self.slab.slots_mut(), |_, slot| {
+                if slot.selected {
+                    slot.run_little(little, Pool::serial(), fl);
+                }
+            });
+        }
         np_trace::finish(self.little_span, t_little, n_sel as u64);
 
         // Phase 3: policy per session (its own state only — cross-session

@@ -1,12 +1,49 @@
-//! Scoped worker-pool execution context for the compute kernels.
+//! Worker-pool execution context for the compute kernels, backed by one
+//! resident worker team.
 //!
 //! Every parallel kernel in the workspace takes an explicit [`Pool`] (the
 //! `*_with` entry points) instead of spawning ambient threads; the plain
 //! entry points delegate to a process-wide [`Pool::global`] sized from
 //! `NP_THREADS` or the machine's available parallelism. A `Pool` is just a
-//! thread *count* plus a work-distribution strategy: teams are spawned per
-//! parallel region with `std::thread::scope`, so borrowed data flows into
-//! workers without `'static` bounds, no channels, and no shutdown protocol.
+//! thread *count*: the threads themselves belong to one process-wide team
+//! that every pool shares, and the team is the only place the workspace
+//! creates threads.
+//!
+//! # The resident team
+//!
+//! Workers are created lazily, once, up to the widest region requested
+//! (at most [`MAX_TEAM_WIDTH`] − 1 of them), and then live for the rest of
+//! the process. Every region method ([`Pool::run`], [`Pool::for_each_chunk`],
+//! [`Pool::for_each_mut`], [`Pool::for_each_chunk_pair`] and [`Pool::map`])
+//! is one dispatch of the same primitive:
+//!
+//! 1. The calling thread takes the team, publishes the region's job — a
+//!    type-erased `&(dyn Fn() + Sync)` borrowed from its own stack — and
+//!    opens the region with one store of the team's state word
+//!    (`epoch << 16 | width << 1 | open`).
+//! 2. Workers `0..width - 1` that are still spinning see the new epoch and
+//!    join by themselves. Only workers that have already parked are
+//!    unparked, so a region whose workers are hot costs no futex syscall.
+//! 3. The caller and the joined workers claim work items from one atomic
+//!    index until none are left.
+//! 4. The caller clears the open bit, then waits only for the workers that
+//!    actually joined. A worker that wakes late finds the region closed and
+//!    never touches the job; that is what makes the borrowed job sound and
+//!    dispatch free of heap allocation.
+//!
+//! An idle worker spins for a few microseconds, so back-to-back regions of
+//! one frame find it hot, and then parks; the caller's wait for its joined
+//! workers spins and parks the same way.
+//!
+//! A region opened while the team is taken — from inside a task (on a
+//! worker or on the caller's own share), or from a second thread while the
+//! first holds the team — runs inline on the calling thread. Nesting can
+//! therefore never deadlock, and the thread count stays bounded by the team.
+//!
+//! A panic in a task is caught on the worker and re-raised on the caller
+//! once the region is closed. If the caller's own share panics, the region
+//! is still closed and joined before the panic unwinds further. The team
+//! stays usable either way.
 //!
 //! # Determinism
 //!
@@ -28,8 +65,25 @@
 //! Integer kernels (the quantized path) are exact, so their parallel
 //! parity is unconditional.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::any::Any;
+use std::hint;
+use std::panic::{self, AssertUnwindSafe};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
+
+/// Widest parallel region the team runs: the calling thread plus
+/// `MAX_TEAM_WIDTH - 1` resident workers. Wider pools keep their thread
+/// count (and so their chunking) but are served at this width, so
+/// `Pool::new(huge)` never creates more than `MAX_TEAM_WIDTH - 1` threads.
+pub const MAX_TEAM_WIDTH: usize = 16;
+
+/// How long an idle worker, or a caller waiting for its joined workers,
+/// spins before parking. Kept short: on a 2-vCPU host, 20–50 µs spins
+/// cost more CPU per streamed frame than the futex wakes they saved.
+const SPIN: Duration = Duration::from_micros(2);
 
 /// An explicit execution context: how many threads parallel regions may use.
 ///
@@ -85,11 +139,12 @@ impl Pool {
     }
 
     /// Scalar operations (e.g. multiply-adds) each worker must have
-    /// before fanning out pays for the per-region thread spawns.
+    /// before fanning out pays for the region's dispatch and join.
     ///
     /// Measured on the kernel bench: below roughly this many MACs per
-    /// worker, `std::thread::scope` setup dominates and threads=2/4 run
-    /// *slower* than serial (see `BENCH_kernels.json`).
+    /// worker, dispatch dominates and threads=2/4 run *slower* than serial
+    /// (see `BENCH_kernels.json`). Raising it to `1 << 18` once the team
+    /// became resident made d1/d2 frame tails worse, so it stays here.
     pub const MIN_WORK_PER_THREAD: usize = 1 << 15;
 
     /// Clamps the pool for a kernel invocation totalling `work` scalar
@@ -128,20 +183,21 @@ impl Pool {
     }
 }
 
-/// Bumps the pool-utilization counters for one parallel region.
+/// Bumps the pool-utilization counters for one parallel region: `inline`
+/// when it ran on the calling thread alone, `wakes` parked workers it
+/// unparked.
 ///
 /// A no-op unless the `trace` feature is compiled in *and* a recorder is
 /// enabled; the hot path then pays one relaxed atomic load plus a few
 /// relaxed adds — no locks, no allocation.
 #[inline]
-fn record_region(workers: usize, items: usize) {
+fn record_region(inline: bool, wakes: usize, items: usize) {
     use np_trace::Counter;
     np_trace::counter_add(Counter::PoolRegions, 1);
-    if workers <= 1 {
+    if inline {
         np_trace::counter_add(Counter::PoolInlineRegions, 1);
-    } else {
-        np_trace::counter_add(Counter::PoolWorkerSpawns, workers as u64 - 1);
     }
+    np_trace::counter_add(Counter::PoolWorkerWakes, wakes as u64);
     np_trace::counter_add(Counter::PoolItems, items as u64);
 }
 
@@ -177,33 +233,39 @@ pub fn cpus_available() -> usize {
 }
 
 impl Pool {
+    /// The one dispatch primitive under every region method: runs
+    /// `task(i)` for every `i in 0..n_items`, each index claimed exactly
+    /// once from an atomic counter by the calling thread and up to
+    /// `threads - 1` team workers. A 1-thread pool, a single item, or a
+    /// team already taken runs everything inline in index order. Returns
+    /// after every task has completed.
+    fn dispatch(&self, n_items: usize, task: impl Fn(usize) + Sync) {
+        let width = self.threads.min(n_items).min(MAX_TEAM_WIDTH);
+        let next = AtomicUsize::new(0);
+        let job = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_items {
+                break;
+            }
+            task(i);
+        };
+        let wakes = if width > 1 {
+            TEAM.fork(width, &job)
+        } else {
+            None
+        };
+        if wakes.is_none() {
+            job();
+        }
+        record_region(wakes.is_none(), wakes.unwrap_or(0), n_items);
+    }
+
     /// Runs `task(i)` for every `i in 0..n_tasks`, distributing indices
     /// across the pool with an atomic work-stealing counter. The calling
     /// thread participates, so a 1-thread pool (or `n_tasks <= 1`) runs
     /// everything inline. Returns after all tasks complete.
     pub fn run(&self, n_tasks: usize, task: impl Fn(usize) + Sync) {
-        let workers = self.threads.min(n_tasks);
-        record_region(workers, n_tasks);
-        if workers <= 1 {
-            for i in 0..n_tasks {
-                task(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n_tasks {
-                break;
-            }
-            task(i);
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
-        });
+        self.dispatch(n_tasks, task);
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements (the
@@ -217,82 +279,33 @@ impl Pool {
         body: impl Fn(usize, &mut [T]) + Sync,
     ) {
         let chunk_len = chunk_len.max(1);
-        let n_chunks = data.len().div_ceil(chunk_len);
-        let workers = self.threads.min(n_chunks);
-        record_region(workers, n_chunks);
-        if workers <= 1 {
-            for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                body(idx, chunk);
-            }
-            return;
-        }
-        let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-        let work = || {
-            loop {
-                // Hold the lock only to pop the next chunk, not to run it.
-                let item = queue.lock().expect("chunk queue poisoned").next();
-                match item {
-                    Some((idx, chunk)) => body(idx, chunk),
-                    None => break,
-                }
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
+        let len = data.len();
+        let data = SharedMut::new(data);
+        self.dispatch(len.div_ceil(chunk_len), |idx| {
+            let start = idx * chunk_len;
+            // SAFETY: `start < len`, and each chunk index is dispatched
+            // once, so the chunks handed out are disjoint.
+            let chunk = unsafe { data.slice(start, chunk_len.min(len - start)) };
+            body(idx, chunk);
         });
     }
 
     /// Runs `body(i, &mut data[i])` for every element, distributing
     /// indices across the pool with the same atomic work-stealing counter
-    /// as [`Pool::run`]. Unlike [`Pool::for_each_chunk`] with a chunk
-    /// length of one item, claiming an element costs a single relaxed
-    /// `fetch_add` instead of a mutex round-trip — the shape a serving
-    /// tick wants when thousands of per-session slots each carry an
-    /// unpredictable amount of work (empty, little-only, or escalated).
+    /// as [`Pool::run`] — the shape a serving tick wants when per-session
+    /// slots each carry an unpredictable amount of work (empty,
+    /// little-only, or escalated).
     ///
     /// Element boundaries are fixed by the slice itself, so which worker
     /// runs an element can never change results; a 1-thread pool runs
     /// everything inline in index order.
     pub fn for_each_mut<T: Send>(&self, data: &mut [T], body: impl Fn(usize, &mut T) + Sync) {
         let n = data.len();
-        let workers = self.threads.min(n);
-        record_region(workers, n);
-        if workers <= 1 {
-            for (i, item) in data.iter_mut().enumerate() {
-                body(i, item);
-            }
-            return;
-        }
-        // Disjoint-index access: every index is claimed exactly once via
-        // the atomic counter, so no two workers ever hold a reference to
-        // the same element.
-        struct SharedSlice<T>(*mut T);
-        unsafe impl<T: Send> Sync for SharedSlice<T> {}
-        let base = SharedSlice(data.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let base = &base;
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: `i < n` indexes into the borrowed slice, and the
-                // fetch_add hands each index to exactly one worker, so the
-                // mutable references are disjoint. The scope below joins
-                // all workers before `data`'s borrow ends.
-                let item = unsafe { &mut *base.0.add(i) };
-                body(i, item);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
+        let data = SharedMut::new(data);
+        self.dispatch(n, |i| {
+            // SAFETY: `i < n`, and each index is dispatched once.
+            let item = unsafe { &mut data.slice(i, 1)[0] };
+            body(i, item);
         });
     }
 
@@ -318,41 +331,25 @@ impl Pool {
     ) {
         let a_chunk_len = a_chunk_len.max(1);
         let b_chunk_len = b_chunk_len.max(1);
-        let n_chunks = a.len().div_ceil(a_chunk_len);
+        let (a_len, b_len) = (a.len(), b.len());
+        let n_chunks = a_len.div_ceil(a_chunk_len);
         assert_eq!(
             n_chunks,
-            b.len().div_ceil(b_chunk_len),
+            b_len.div_ceil(b_chunk_len),
             "paired buffers must split into the same number of chunks"
         );
-        let workers = self.threads.min(n_chunks);
-        record_region(workers, n_chunks);
-        if workers <= 1 {
-            for (idx, (ca, cb)) in a
-                .chunks_mut(a_chunk_len)
-                .zip(b.chunks_mut(b_chunk_len))
-                .enumerate()
-            {
-                body(idx, ca, cb);
-            }
-            return;
-        }
-        let queue = Mutex::new(
-            a.chunks_mut(a_chunk_len)
-                .zip(b.chunks_mut(b_chunk_len))
-                .enumerate(),
-        );
-        let work = || loop {
-            let item = queue.lock().expect("chunk queue poisoned").next();
-            match item {
-                Some((idx, (ca, cb))) => body(idx, ca, cb),
-                None => break,
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(work);
-            }
-            work();
+        let (a, b) = (SharedMut::new(a), SharedMut::new(b));
+        self.dispatch(n_chunks, |idx| {
+            let (sa, sb) = (idx * a_chunk_len, idx * b_chunk_len);
+            // SAFETY: both starts are in bounds (same chunk count), and
+            // each chunk index is dispatched once.
+            let (ca, cb) = unsafe {
+                (
+                    a.slice(sa, a_chunk_len.min(a_len - sa)),
+                    b.slice(sb, b_chunk_len.min(b_len - sb)),
+                )
+            };
+            body(idx, ca, cb);
         });
     }
 
@@ -360,13 +357,322 @@ impl Pool {
     pub fn map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
-        self.for_each_chunk(&mut slots, 1, |idx, chunk| {
-            chunk[0] = Some(f(idx));
-        });
+        self.for_each_mut(&mut slots, |idx, slot| *slot = Some(f(idx)));
         slots
             .into_iter()
             .map(|slot| slot.expect("map task did not run"))
             .collect()
+    }
+}
+
+/// A mutable slice shared by a region's participants, each of which
+/// carves out the disjoint sub-slices of the work items it claims.
+struct SharedMut<'a, T> {
+    base: *mut T,
+    len: usize,
+    _borrow: std::marker::PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: participants only ever touch disjoint elements (see `slice`), so
+// sharing the base pointer is sharing `&mut` access to `T: Send` data.
+unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
+
+impl<'a, T> SharedMut<'a, T> {
+    fn new(data: &'a mut [T]) -> Self {
+        SharedMut {
+            base: data.as_mut_ptr(),
+            len: data.len(),
+            _borrow: std::marker::PhantomData,
+        }
+    }
+
+    /// `data[start..start + len]`.
+    ///
+    /// # Safety
+    ///
+    /// No other live reference may overlap the returned range.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice(&self, start: usize, len: usize) -> &'a mut [T] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts_mut(self.base.add(start), len)
+    }
+}
+
+/// The process-wide resident team every [`Pool`] dispatches to.
+static TEAM: Team = Team::new();
+
+/// Resident worker threads created so far by the process-wide team (never
+/// more than [`MAX_TEAM_WIDTH`] − 1, whatever width pools ask for).
+pub fn team_size() -> usize {
+    TEAM.spawned.load(Ordering::Relaxed)
+}
+
+/// The open bit of a team state word.
+const OPEN: u64 = 1;
+
+/// Region width packed into an open state word.
+fn state_width(state: u64) -> usize {
+    ((state >> 1) & 0x7fff) as usize
+}
+
+/// A team of resident workers and the region currently running on it.
+///
+/// The state word `epoch << 16 | width << 1 | open` names the current
+/// region; only the thread holding `busy` (the region's caller) writes it,
+/// and every new region gets a fresh epoch, so a state value never repeats.
+struct Team {
+    /// Held by the caller of the region currently on the team.
+    busy: AtomicBool,
+    /// `epoch << 16 | width << 1 | open`.
+    state: AtomicU64,
+    /// While a region is open: points at the caller's
+    /// `&(dyn Fn() + Sync)` job.
+    job: AtomicPtr<()>,
+    /// Workers inside [`Team::join`] (joined, or checking whether to).
+    active: AtomicUsize,
+    /// Set by a caller about to park until `active` drains.
+    waiting: AtomicBool,
+    /// The parked caller, for the last worker out to unpark.
+    waiter: Mutex<Option<Thread>>,
+    /// A worker's task panicked; its payload is in `panic`.
+    panicked: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Workers created so far; only the caller holding `busy` grows it.
+    spawned: AtomicUsize,
+    workers: [Worker; MAX_TEAM_WIDTH - 1],
+}
+
+struct Worker {
+    /// Set by the worker before it parks; cleared by whoever wakes it.
+    parked: AtomicBool,
+    thread: OnceLock<Thread>,
+}
+
+/// Locks a team mutex. Nothing panics while holding one, so poisoning can
+/// only come from outside the protocol and is ignored.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Team {
+    const fn new() -> Self {
+        Team {
+            busy: AtomicBool::new(false),
+            state: AtomicU64::new(0),
+            job: AtomicPtr::new(ptr::null_mut()),
+            active: AtomicUsize::new(0),
+            waiting: AtomicBool::new(false),
+            waiter: Mutex::new(None),
+            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            spawned: AtomicUsize::new(0),
+            workers: [const {
+                Worker {
+                    parked: AtomicBool::new(false),
+                    thread: OnceLock::new(),
+                }
+            }; MAX_TEAM_WIDTH - 1],
+        }
+    }
+
+    /// Runs `job` on the calling thread and on workers `0..width - 1`,
+    /// returning once every participant has left it, with the number of
+    /// parked workers it unparked. Returns `None` without running `job`
+    /// when the team is taken (a nested or concurrent region) or has no
+    /// worker to offer. Re-raises a worker's panic.
+    fn fork(&'static self, width: usize, job: &(dyn Fn() + Sync)) -> Option<usize> {
+        if self
+            .busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            return None;
+        }
+        let width = self.ensure_workers(width - 1) + 1;
+        if width == 1 {
+            self.busy.store(false, Ordering::Release);
+            return None;
+        }
+        self.job.store(
+            &job as *const &(dyn Fn() + Sync) as *mut (),
+            Ordering::Relaxed,
+        );
+        let epoch = (self.state.load(Ordering::Relaxed) >> 16) + 1;
+        let open = epoch << 16 | (width as u64) << 1 | OPEN;
+        self.state.store(open, Ordering::SeqCst);
+        let mut wakes = 0;
+        for worker in &self.workers[..width - 1] {
+            // Pairs with the worker's store-then-recheck in `work`: either
+            // it sees the new state, or this sees it parked.
+            if worker.parked.load(Ordering::SeqCst) && worker.parked.swap(false, Ordering::SeqCst) {
+                worker.thread.get().expect("spawned worker").unpark();
+                wakes += 1;
+            }
+        }
+        let region = Close { team: self, open };
+        job();
+        if let Some(payload) = region.finish() {
+            panic::resume_unwind(payload);
+        }
+        Some(wakes)
+    }
+
+    /// Makes sure workers `0..want` exist, spawning the missing ones;
+    /// returns how many of them do.
+    fn ensure_workers(&'static self, want: usize) -> usize {
+        let mut have = self.spawned.load(Ordering::Relaxed);
+        while have < want {
+            let idx = have;
+            // Workers are resident: the handle is dropped (detaching the
+            // thread), and task panics never escape `join`.
+            let spawned = thread::Builder::new()
+                .name(format!("np-pool-{idx}"))
+                .spawn(move || self.work(idx));
+            match spawned {
+                Ok(handle) => {
+                    let _ = self.workers[idx].thread.set(handle.thread().clone());
+                }
+                Err(err) => {
+                    np_trace::warn_once!(
+                        "pool team could not create worker {idx} ({err}); \
+                         parallel regions run {} wide",
+                        idx + 1
+                    );
+                    break;
+                }
+            }
+            have += 1;
+            self.spawned.store(have, Ordering::Relaxed);
+        }
+        have.min(want)
+    }
+
+    /// A worker's life: spin briefly after each region, then park; join
+    /// every region whose width includes it.
+    fn work(&self, idx: usize) {
+        let me = &self.workers[idx];
+        let mut seen = 0;
+        let mut idle_since = Instant::now();
+        loop {
+            let state = self.state.load(Ordering::Acquire);
+            if state != seen {
+                seen = state;
+                if state & OPEN != 0 && idx + 1 < state_width(state) {
+                    self.join(state);
+                    idle_since = Instant::now();
+                    continue;
+                }
+            }
+            if idle_since.elapsed() < SPIN {
+                hint::spin_loop();
+                continue;
+            }
+            me.parked.store(true, Ordering::SeqCst);
+            if self.state.load(Ordering::SeqCst) != seen {
+                me.parked.store(false, Ordering::SeqCst);
+                continue;
+            }
+            while me.parked.load(Ordering::Acquire) {
+                thread::park();
+            }
+            idle_since = Instant::now();
+        }
+    }
+
+    /// Runs the job of region `open` unless it has closed since the worker
+    /// saw it open.
+    fn join(&self, open: u64) {
+        self.active.fetch_add(1, Ordering::SeqCst);
+        // Counted in `active` before this check, so if the region is still
+        // open here its caller cannot finish closing (and drop the job)
+        // until this worker leaves.
+        if self.state.load(Ordering::SeqCst) == open {
+            // SAFETY: the pointer was stored before `open` was published and
+            // stays valid until the caller has seen `active` drain.
+            let job = unsafe {
+                *self
+                    .job
+                    .load(Ordering::Relaxed)
+                    .cast::<&(dyn Fn() + Sync)>()
+            };
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(job)) {
+                let mut slot = lock(&self.panic);
+                if slot.is_none() {
+                    *slot = Some(payload);
+                }
+                self.panicked.store(true, Ordering::Relaxed);
+            }
+        }
+        if self.active.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.waiting.swap(false, Ordering::SeqCst)
+        {
+            if let Some(caller) = &*lock(&self.waiter) {
+                caller.unpark();
+            }
+        }
+    }
+
+    /// Closes region `open`, waits for the workers that joined it, and
+    /// releases the team; returns a worker's panic payload, if any.
+    fn close(&self, open: u64) -> Option<Box<dyn Any + Send>> {
+        self.state.store(open & !OPEN, Ordering::SeqCst);
+        self.wait_for_joined();
+        self.job.store(ptr::null_mut(), Ordering::Relaxed);
+        // `panicked` was set before the panicking worker left `active`,
+        // which the wait above has seen drain.
+        let payload = if self.panicked.swap(false, Ordering::Relaxed) {
+            lock(&self.panic).take()
+        } else {
+            None
+        };
+        self.busy.store(false, Ordering::Release);
+        payload
+    }
+
+    /// The caller's wait for the workers that joined the closed region:
+    /// spin briefly, then park until the last one out unparks it.
+    fn wait_for_joined(&self) {
+        let start = Instant::now();
+        while self.active.load(Ordering::SeqCst) != 0 {
+            if start.elapsed() >= SPIN {
+                *lock(&self.waiter) = Some(thread::current());
+                // Pairs with the last worker's decrement-then-swap in
+                // `join`: either it sees `waiting`, or this sees 0.
+                self.waiting.store(true, Ordering::SeqCst);
+                while self.active.load(Ordering::SeqCst) != 0 {
+                    thread::park();
+                    self.waiting.store(true, Ordering::SeqCst);
+                }
+                self.waiting.store(false, Ordering::SeqCst);
+                return;
+            }
+            hint::spin_loop();
+        }
+    }
+}
+
+/// The open region of a [`Team::fork`]; closing it joins the workers and
+/// releases the team, also when the caller's own share unwinds.
+struct Close {
+    team: &'static Team,
+    open: u64,
+}
+
+impl Close {
+    /// Closes the region after the caller's share returned normally;
+    /// returns the panic payload of a worker's task, if one panicked.
+    fn finish(self) -> Option<Box<dyn Any + Send>> {
+        let payload = self.team.close(self.open);
+        std::mem::forget(self);
+        payload
+    }
+}
+
+impl Drop for Close {
+    /// Reached only while the caller's own share unwinds: its panic is the
+    /// one that propagates, so a worker's payload is dropped.
+    fn drop(&mut self) {
+        drop(self.team.close(self.open));
     }
 }
 
@@ -481,6 +787,170 @@ mod tests {
             total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 4950);
+    }
+
+    /// True on a resident team worker (they are the only `np-pool-*`
+    /// threads).
+    fn on_team_worker() -> bool {
+        thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("np-pool-"))
+    }
+
+    fn sum_of_squares(pool: Pool, n: usize) -> u64 {
+        let mut data: Vec<u64> = (0..n as u64).collect();
+        pool.for_each_chunk(&mut data, 7, |_, chunk| {
+            for v in chunk.iter_mut() {
+                *v *= *v;
+            }
+        });
+        data.iter().sum()
+    }
+
+    /// Forks a 2-wide region on `team` whose worker and caller shares
+    /// run `on_worker` and `on_caller`; the caller's share first waits
+    /// until the worker has joined, so both always run. Returns the
+    /// region's panic payload.
+    fn forced_panic(
+        team: &'static Team,
+        on_worker: impl Fn() + Sync,
+        on_caller: impl Fn() + Sync,
+    ) -> Box<dyn Any + Send> {
+        let joined = AtomicBool::new(false);
+        let job = || {
+            if on_team_worker() {
+                joined.store(true, Ordering::SeqCst);
+                on_worker();
+            } else {
+                while !joined.load(Ordering::SeqCst) {
+                    hint::spin_loop();
+                }
+                on_caller();
+            }
+        };
+        let result = panic::catch_unwind(AssertUnwindSafe(|| team.fork(2, &job)));
+        result.expect_err("the region panicked")
+    }
+
+    #[test]
+    fn worker_panic_reaches_caller_and_team_stays_usable() {
+        static LOCAL: Team = Team::new();
+        let payload = forced_panic(&LOCAL, || panic!("worker task failed"), || {});
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker task failed"));
+        // The team was released and serves the next region exactly.
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let next = AtomicUsize::new(0);
+        let job = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= hits.len() {
+                break;
+            }
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        };
+        assert!(LOCAL.fork(2, &job).is_some());
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn caller_panic_closes_region_before_unwinding() {
+        static LOCAL: Team = Team::new();
+        let worker_done = AtomicBool::new(false);
+        let payload = forced_panic(
+            &LOCAL,
+            || {
+                thread::sleep(Duration::from_millis(20));
+                worker_done.store(true, Ordering::SeqCst);
+            },
+            || panic!("caller task failed"),
+        );
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller task failed"));
+        // The unwind waited for the joined worker and closed the region.
+        assert!(worker_done.load(Ordering::SeqCst));
+        assert_eq!(LOCAL.state.load(Ordering::SeqCst) & OPEN, 0);
+        assert!(LOCAL.job.load(Ordering::SeqCst).is_null());
+        assert!(LOCAL.fork(2, &|| {}).is_some());
+    }
+
+    #[test]
+    fn nested_regions_run_inline_with_exact_results() {
+        let pool = Pool::new(4);
+        let hits: Vec<AtomicUsize> = (0..8 * 16).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(8, |i| {
+            pool.run(16, |j| {
+                hits[i * 16 + j].fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+
+        let mut rows = vec![vec![0u64; 33]; 6];
+        pool.for_each_mut(&mut rows, |r, row| {
+            pool.for_each_chunk(row, 4, |c, chunk| {
+                for v in chunk.iter_mut() {
+                    *v = (r * 100 + c) as u64;
+                }
+            });
+        });
+        for (r, row) in rows.iter().enumerate() {
+            let expect: Vec<u64> = (0..33).map(|k| (r * 100 + k / 4) as u64).collect();
+            assert_eq!(row, &expect);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_both_complete_exactly() {
+        let n = 777;
+        let expect = (0..n as u64).map(|i| i * i).sum::<u64>();
+        let start = std::sync::Barrier::new(2);
+        thread::scope(|scope| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..200 {
+                            assert_eq!(sum_of_squares(Pool::new(2), n), expect);
+                        }
+                    })
+                })
+                .collect();
+            for caller in callers {
+                caller.join().expect("caller thread panicked");
+            }
+        });
+    }
+
+    #[test]
+    fn late_worker_cannot_run_a_closed_region() {
+        static LOCAL: Team = Team::new();
+        let ran = AtomicUsize::new(0);
+        let job = || {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        let wakes = LOCAL.fork(2, &job).expect("a fresh team is free");
+        assert!(wakes <= 1);
+        let ran_in_region = ran.load(Ordering::Relaxed);
+        assert!((1..=2).contains(&ran_in_region));
+        // A worker that saw the region open but only now gets to join it:
+        // the region is closed and its job gone, so it must leave at once.
+        let closed = LOCAL.state.load(Ordering::SeqCst);
+        assert_eq!(closed & OPEN, 0);
+        LOCAL.join(closed | OPEN);
+        assert_eq!(ran.load(Ordering::Relaxed), ran_in_region);
+        assert!(LOCAL.job.load(Ordering::SeqCst).is_null());
+        // The team is free again and serves the next region.
+        assert!(LOCAL.fork(2, &job).is_some());
+    }
+
+    #[test]
+    fn huge_pools_never_exceed_the_team_cap() {
+        let pool = Pool::new(10_000);
+        assert_eq!(pool.threads(), 10_000);
+        let total = AtomicU64::new(0);
+        pool.run(4 * MAX_TEAM_WIDTH, |i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        let n = 4 * MAX_TEAM_WIDTH as u64;
+        assert_eq!(total.load(Ordering::Relaxed), n * (n - 1) / 2);
+        assert!(team_size() < MAX_TEAM_WIDTH);
     }
 
     #[test]

@@ -143,13 +143,15 @@ pub struct FrameEvent {
 #[repr(usize)]
 pub enum Counter {
     /// Parallel regions entered (`Pool::run` / `for_each_chunk` /
-    /// `for_each_chunk_pair`).
+    /// `for_each_mut` / `for_each_chunk_pair`).
     PoolRegions,
-    /// Parallel regions that ran inline on the calling thread (width 1 or
-    /// clamped by `for_work`).
+    /// Parallel regions that ran inline on the calling thread (width 1,
+    /// clamped by `for_work`, or nested in a region holding the team).
     PoolInlineRegions,
-    /// Worker threads spawned across all fanned-out regions.
-    PoolWorkerSpawns,
+    /// Parked team workers unparked to join a region (workers still
+    /// spinning from the previous region join without one, so a low count
+    /// means the team stayed hot).
+    PoolWorkerWakes,
     /// Work items (tasks or chunks) processed by pool regions.
     PoolItems,
     /// Frames streamed through adaptive runners.
@@ -181,7 +183,7 @@ impl Counter {
     pub const ALL: [Counter; 14] = [
         Counter::PoolRegions,
         Counter::PoolInlineRegions,
-        Counter::PoolWorkerSpawns,
+        Counter::PoolWorkerWakes,
         Counter::PoolItems,
         Counter::FramesTotal,
         Counter::FramesBig,
@@ -200,7 +202,7 @@ impl Counter {
         match self {
             Counter::PoolRegions => "pool.regions",
             Counter::PoolInlineRegions => "pool.inline_regions",
-            Counter::PoolWorkerSpawns => "pool.worker_spawns",
+            Counter::PoolWorkerWakes => "pool.worker_wakes",
             Counter::PoolItems => "pool.items",
             Counter::FramesTotal => "frames.total",
             Counter::FramesBig => "frames.big",
@@ -703,12 +705,12 @@ mod tests {
         install(TraceConfig::default());
         reset();
         enable();
-        counter_add(Counter::PoolWorkerSpawns, 3);
-        counter_add(Counter::PoolWorkerSpawns, 2);
+        counter_add(Counter::PoolWorkerWakes, 3);
+        counter_add(Counter::PoolWorkerWakes, 2);
         disable();
         let got = counters()
             .into_iter()
-            .find(|&(name, _)| name == "pool.worker_spawns")
+            .find(|&(name, _)| name == "pool.worker_wakes")
             .unwrap();
         assert_eq!(got.1, 5);
         reset();

@@ -1,7 +1,8 @@
 //! Proof of the "zero-allocation steady state" claim: a counting global
 //! allocator wraps the system allocator, and after one warm-up frame the
 //! compiled programs (and the streaming [`FrameRunner`]) must perform
-//! exactly zero heap allocations per frame on a serial pool.
+//! exactly zero heap allocations per frame on a serial pool — and on a
+//! 2-wide pool, whose regions dispatch to the resident worker team.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! pollute the allocation counter.
@@ -308,6 +309,73 @@ fn steady_state_frames_do_not_allocate() {
         slots_before,
         "retired arenas must be reused, not freed"
     );
+
+    // --- Width-2 pool: resident-team dispatch -----------------------------
+    // Parallel regions hand a borrowed job to resident workers, so a wider
+    // pool must not allocate either. The warm-up creates the team's worker
+    // thread (once per process); after that, prepacked frames, streaming
+    // frames, batched passes and serving ticks are heap-silent. On a
+    // single-CPU machine the kernels clamp themselves to serial and the
+    // server's cross-session region still dispatches to the team.
+    let wide = Pool::new(2);
+    let _ = program.run_int_prepacked(wide, &mut scratch, &q);
+    for _ in 0..3 {
+        let (n, _) = allocs_during(|| {
+            let (out, _) = program.run_int_prepacked(wide, &mut scratch, &q);
+            out[0]
+        });
+        assert_eq!(n, 0, "run_int_prepacked allocated at pool width 2");
+    }
+    let _ = bprogram.run_int_batched(wide, &mut bscratch, &qbatch, 8);
+    let (n, _) = allocs_during(|| {
+        let (out, _) = bprogram.run_int_batched(wide, &mut bscratch, &qbatch, 8);
+        out[0]
+    });
+    assert_eq!(n, 0, "run_int_batched allocated at pool width 2");
+
+    let mut wide_runner = FrameRunner::new(&qnet, &qbig, PROXY_INPUT, 0.5, wide);
+    let _ = wide_runner.run_frame(frame.as_slice());
+    for f in [&moved, &frame, &moved] {
+        let (n, r) = allocs_during(|| wide_runner.run_frame(f.as_slice()));
+        assert_eq!(
+            n, 0,
+            "FrameRunner frame allocated at pool width 2 (decision {:?})",
+            r.decision
+        );
+    }
+
+    let mut wide_server = Server::new(
+        &ens,
+        wide,
+        ServeConfig {
+            max_sessions: 3,
+            queue_capacity: 2,
+        },
+    );
+    let wide_ids: Vec<SessionId> = (0..3)
+        .map(|_| wide_server.admit(0.5).expect("slab sized for the fleet"))
+        .collect();
+    for t in 0..4u64 {
+        for id in &wide_ids {
+            assert!(wide_server.submit(*id, moved.as_slice(), t));
+        }
+        let _ = wide_server.serve(t);
+    }
+    let (n, _) = allocs_during(|| {
+        let mut served = 0;
+        for t in 0..3u64 {
+            // All three sessions, then a lone one: both little-pass shapes
+            // (cross-session region, whole pool for one session).
+            for id in &wide_ids {
+                assert!(wide_server.submit(*id, frame.as_slice(), t));
+            }
+            served += wide_server.serve(t).len();
+            assert!(wide_server.submit(wide_ids[1], moved.as_slice(), t));
+            served += wide_server.serve(t).len();
+        }
+        served
+    });
+    assert_eq!(n, 0, "steady serving loop allocated at pool width 2");
 
     // --- Instrumented steady state (trace feature only) ------------------
     // With the recorder installed *and* enabled, the per-step spans, frame
