@@ -36,20 +36,38 @@ NP_CALIB=CALIB.json \
 cargo run --release -q -p np-bench --features trace --bin trace_report \
     BENCH_trace.json /tmp/BENCH_trace_events.json >/dev/null
 
+# Name-filtered np-quant legs. cargo's test filters are substrings, so a
+# renamed or merged test would leave its leg passing with zero tests:
+# every name must first match a test in the `--list` output. The first
+# argument is the NP_ISA value for the leg ("" for the host default).
+quant_tests() {
+    isa=$1
+    shift
+    listed=$(cargo test -q --release -p np-quant -- --list 2>/dev/null |
+        sed -n 's/: test$//p')
+    for name in "$@"; do
+        if ! printf '%s\n' "$listed" | grep -qF -- "$name"; then
+            echo "ci.sh: no np-quant test matches '$name'" >&2
+            exit 1
+        fi
+    done
+    env ${isa:+NP_ISA="$isa"} cargo test -q --release -p np-quant -- "$@"
+}
+
 echo "==> kernel exactness proptests (release: optimizer must not change results)"
-cargo test -q --release -p np-quant -- \
+quant_tests "" \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
     lowered_qconv2d_equals_reference_exactly \
     qdepthwise_pool_parity_is_exact
 
 echo "==> raw-i8 kernel exactness proptests (release)"
-cargo test -q --release -p np-quant -- \
+quant_tests "" \
     i8_microkernel_matches_i16_reference_at_adversarial_corners \
     i8_program_equals_scalar_i16_program_across_batches
 
 echo "==> batched exactness proptests (release)"
-cargo test -q --release -p np-quant -- \
+quant_tests "" \
     batched_microkernel_equals_per_frame_runs \
     run_int_batched_equals_independent_prepacked_runs
 
@@ -57,12 +75,12 @@ echo "==> forced-scalar leg: NP_ISA pins the portable kernel bodies"
 # The same exactness suites with SIMD dispatch disabled, so the scalar
 # fallbacks are covered even on an AVX2 host (and an AVX2-only bug cannot
 # hide behind a scalar-only CI box, or vice versa).
-NP_ISA=scalar cargo test -q --release -p np-quant -- \
+quant_tests scalar \
     microkernel_matches_qgemm_row_at_ragged_shapes \
     depthwise_fast_path_matches_reference_at_ragged_shapes \
     i8_microkernel_matches_i16_reference_at_adversarial_corners \
     batched_microkernel_equals_per_frame_runs
-NP_ISA=scalar-i8 cargo test -q --release -p np-quant -- \
+quant_tests scalar-i8 \
     i8_program_equals_scalar_i16_program_across_batches \
     run_int_batched_equals_independent_prepacked_runs
 NP_ISA=scalar cargo test -q --release --test prepacked

@@ -123,7 +123,7 @@ pub fn qconv2d_with(
     let mut out = vec![0i8; geo.out_channels * cols];
     let pool = pool.for_work(geo.out_channels * patch * cols);
     qconv_panels_into(
-        pool, &packed, patch, &lowered, bias, mults, out_zp, relu, &mut out,
+        pool, &packed, patch, &lowered, bias, mults, out_zp, relu, 1, &mut out,
     );
     out
 }

@@ -12,7 +12,14 @@
 //! are exactly equal to the direct reference and independent of how work is
 //! partitioned across threads.
 //!
+//! Every lowering here handles one frame. A batched conv step lowers its
+//! frames one after another into consecutive slices of one buffer, which
+//! is exactly the layout the frame-count conv entries
+//! ([`qconv_panels_into`], [`qconv_panels_i8_into`]) consume.
+//!
 //! [`qconv2d`]: crate::kernels::qconv2d
+//! [`qconv_panels_into`]: crate::microkernel::qconv_panels_into
+//! [`qconv_panels_i8_into`]: crate::microkernel::qconv_panels_i8_into
 
 use crate::kernels::QConvGeometry;
 
@@ -156,50 +163,6 @@ pub fn qim2row_into(
     }
 }
 
-/// Batched [`qim2row_into`]: lowers `batch` equally-shaped CHW frames
-/// (concatenated NCHW in `input`) into one patch-major buffer where the
-/// columns of all frames are concatenated frame-major — global column
-/// `b * cols + col` (with `cols = H_out*W_out` per frame) owns the slice
-/// `lowered[(b*cols + col)*stride ..][..patch]` holding frame `b`'s
-/// centered receptive field for output pixel `col`.
-///
-/// The microkernel then sweeps `batch * cols` columns in one invocation,
-/// so each packed weight panel is streamed from memory once per *batch*
-/// instead of once per frame — the amortization the batched runtime is
-/// built on. Per frame the layout is byte-identical to [`qim2row_into`],
-/// which is what makes the batched conv bit-exact against per-frame runs.
-///
-/// # Panics
-///
-/// Panics if `input` or `lowered` have the wrong length, or `batch == 0`.
-pub fn qim2row_batch_into(
-    input: &[i8],
-    batch: usize,
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    geo: QConvGeometry,
-    lowered: &mut [i16],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    let frame_len = geo.in_channels * h * w;
-    assert_eq!(input.len(), batch * frame_len, "input size");
-    let (oh, ow) = geo.out_hw(h, w);
-    let stride = patch_stride(geo.in_channels * geo.kernel * geo.kernel);
-    let frame_lowered = oh * ow * stride;
-    assert_eq!(lowered.len(), batch * frame_lowered, "lowered scratch size");
-    for b in 0..batch {
-        qim2row_into(
-            &input[b * frame_len..(b + 1) * frame_len],
-            h,
-            w,
-            in_zp,
-            geo,
-            &mut lowered[b * frame_lowered..(b + 1) * frame_lowered],
-        );
-    }
-}
-
 /// The padded per-patch stride of the im2row layout: `patch` rounded up
 /// to a whole number of [`np_tensor::im2col::I16_LANES`] i16 lanes, so
 /// every patch starts 16-byte aligned and dots have no scalar remainder.
@@ -308,45 +271,6 @@ pub fn qim2row_u8_into(
                 }
             }
         }
-    }
-}
-
-/// Batched [`qim2row_u8_into`]: lowers `batch` equally-shaped CHW frames
-/// (concatenated NCHW in `input`) into one u8 buffer, *per-frame blocked* —
-/// frame `b` owns `lowered[b*flen..(b+1)*flen]` with
-/// `flen = u8_lowered_len(cols, patch)`, byte-identical to a single-frame
-/// lowering of that frame. Column blocks therefore never straddle a frame
-/// boundary, which keeps the batched kernel's frame-chunked parallelism
-/// block-aligned and its results bit-exact against per-frame runs.
-///
-/// # Panics
-///
-/// Panics if `input` or `lowered` have the wrong length, or `batch == 0`.
-pub fn qim2row_u8_batch_into(
-    input: &[i8],
-    batch: usize,
-    h: usize,
-    w: usize,
-    in_zp: i32,
-    geo: QConvGeometry,
-    lowered: &mut [u8],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    let frame_len = geo.in_channels * h * w;
-    assert_eq!(input.len(), batch * frame_len, "input size");
-    let (oh, ow) = geo.out_hw(h, w);
-    let patch = geo.in_channels * geo.kernel * geo.kernel;
-    let frame_lowered = u8_lowered_len(oh * ow, patch);
-    assert_eq!(lowered.len(), batch * frame_lowered, "lowered scratch size");
-    for b in 0..batch {
-        qim2row_u8_into(
-            &input[b * frame_len..(b + 1) * frame_len],
-            h,
-            w,
-            in_zp,
-            geo,
-            &mut lowered[b * frame_lowered..(b + 1) * frame_lowered],
-        );
     }
 }
 

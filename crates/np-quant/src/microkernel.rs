@@ -20,6 +20,13 @@
 //!   [`crate::lowering::qim2row_into`]; the `patch_stride` tail lanes are
 //!   zero on both sides, so the padded dot is exact.
 //!
+//! There is one conv entry per weight format — [`qconv_panels_into`]
+//! (i16 panels) and [`qconv_panels_i8_into`] (raw-i8 panels) — and both
+//! take a frame count: `frames` lowered frames laid end to end produce
+//! `frames` NCHW output frames in one sweep of the weight panels. One
+//! frame is split across the pool by channel panel, several by frame
+//! ([`for_each_conv_chunk`]).
+//!
 //! Ragged edges: a pixel count that is not a multiple of [`NR`] falls back
 //! to a single-patch 4-chain tile for the last column, and the last panel
 //! of a channel count that is not a multiple of [`MR`] simply stores only
@@ -125,23 +132,35 @@ fn dot_tile_4x1(w: [&[i16]; MR], xp: &[i16]) -> [i32; MR] {
     a
 }
 
-/// Lowered int8 convolution: `out[c][col] = requant(bias[c] + packed[c] ·
-/// lowered[col])` with the fused ReLU clamp, register-blocked and
-/// parallelized over whole channel panels.
+/// Lowered int8 convolution over `frames` frames: `out[f][c][col] =
+/// requant(bias[c] + packed[c] · lowered[f][col])` with the fused ReLU
+/// clamp, register-blocked and parallelized over whole panels or frames.
 ///
 /// * `packed`: [`pack_conv_panels`] output for `bias.len()` channels
-/// * `lowered`: patch-major im2row matrix, `cols * patch_stride(patch)`
-/// * `out`: `bias.len() * cols` plane-major i8 output
+/// * `lowered`: `frames` patch-major im2row matrices
+///   ([`crate::lowering::qim2row_into`]) laid end to end,
+///   `frames * cols * patch_stride(patch)`
+/// * `out`: `frames * bias.len() * cols` i8, NCHW — frame `f` owns
+///   `out[f*C*cols..(f+1)*C*cols]` in plane-major layout
 ///
-/// Work is chunked over panels via [`Pool::chunk_len_for`], so a chunk
-/// boundary can never split a panel; results are bit-identical to
-/// per-channel [`qgemm_row`] + [`requantize_to_i8`] at any pool width.
+/// Work is split by [`for_each_conv_chunk`]: one frame chunks over whole
+/// channel panels, several frames over whole frames. Within a chunk each
+/// [`MR`]-row weight panel sweeps the chunk's concatenated columns one
+/// [`PIXEL_BLOCK`] at a time, so for `frames > 1` a panel is streamed once
+/// per block of the *whole batch* instead of once per frame — the win for
+/// the skinny GEMV-shaped layers (few output pixels per frame). An odd
+/// frame's last column shares an [`NR`] tile with the next frame's first;
+/// each output element is still one `r`-ascending integer dot, so results
+/// are bit-identical to per-channel
+/// [`qgemm_row`] + [`requantize_to_i8`] — and to `frames` single-frame
+/// calls — at any pool width.
 ///
 /// # Panics
 ///
-/// Panics on size mismatches.
+/// Panics on size mismatches or `frames == 0`.
 ///
 /// [`qgemm_row`]: crate::lowering::qgemm_row
+/// [`requantize_to_i8`]: crate::requant::requantize_to_i8
 #[allow(clippy::too_many_arguments)]
 pub fn qconv_panels_into(
     pool: Pool,
@@ -152,46 +171,34 @@ pub fn qconv_panels_into(
     mults: &[FixedMultiplier],
     out_zp: i32,
     relu: bool,
+    frames: usize,
     out: &mut [i8],
 ) {
-    let out_channels = bias.len();
-    if out_channels == 0 || out.is_empty() {
+    let Some(cols) = conv_cols(out, frames, bias.len(), mults.len()) else {
         return;
-    }
+    };
     let ps = patch_stride(patch);
-    let cols = out.len() / out_channels;
-    assert_eq!(out.len(), out_channels * cols, "output size");
-    assert_eq!(lowered.len(), cols * ps, "lowered size");
+    assert_eq!(lowered.len(), frames * cols * ps, "lowered size");
     assert_eq!(
         packed.len(),
-        out_channels.div_ceil(MR) * MR * ps,
+        bias.len().div_ceil(MR) * MR * ps,
         "packed weight size"
     );
-    assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = if relu {
-        out_zp.clamp(-128, 127) as i8
-    } else {
-        i8::MIN
-    };
-
-    let n_panels = out_channels.div_ceil(MR);
-    let chunk_len = pool.chunk_len_for(n_panels, MR * cols);
-    let panels_per_chunk = chunk_len / (MR * cols);
+    let floor = relu_floor(relu, out_zp);
     #[cfg(target_arch = "x86_64")]
     let has_avx2 = simd_enabled();
-    pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-        // First output channel of this chunk; always panel-aligned.
-        let c_base = idx * panels_per_chunk * MR;
+    for_each_conv_chunk(pool, out, frames, bias.len(), cols, |at, chunk| {
+        let nf = chunk.len() / at.frame_out;
         let args = ChunkArgs {
             packed,
             ps,
-            lowered,
+            lowered: &lowered[at.frame * cols * ps..(at.frame + nf) * cols * ps],
             bias,
             mults,
             out_zp,
             floor,
             cols,
-            c_base,
+            at,
         };
         #[cfg(target_arch = "x86_64")]
         if has_avx2 {
@@ -204,97 +211,88 @@ pub fn qconv_panels_into(
     });
 }
 
-/// Batched [`qconv_panels_into`]: one sweep of the packed weight panels
-/// over the concatenated columns of `batch` frames.
-///
-/// * `lowered`: [`crate::lowering::qim2row_batch_into`] output —
-///   `batch * cols` patch-major columns, frame-major
-/// * `out`: `batch * out_channels * cols` i8, NCHW (frame `b` owns
-///   `out[b*C*cols..(b+1)*C*cols]` in the same plane-major layout the
-///   single-frame kernel writes)
-///
-/// This is where the batch win lives: each [`MR`]-row weight panel is
-/// streamed from memory once per [`PIXEL_BLOCK`] of the *whole batch*
-/// instead of once per frame, which matters exactly for the skinny
-/// GEMV-shaped layers (few output pixels per frame) that dominate the
-/// paper's 160×96 ensembles. Each output element is still one `r`-ascending
-/// integer dot, so results are bit-identical to running the single-frame
-/// kernel per frame, at any pool width.
-///
-/// Work is chunked over whole frames, so a chunk boundary never splits a
-/// frame's output plane.
-///
-/// # Panics
-///
-/// Panics on size mismatches or `batch == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn qconv_panels_batch_into(
-    pool: Pool,
-    packed: &[i16],
-    patch: usize,
-    lowered: &[i16],
-    bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-    batch: usize,
-    out: &mut [i8],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    let out_channels = bias.len();
+/// Validates a conv output of `frames × out_channels` planes and returns
+/// the output pixels per frame, or `None` when there is nothing to
+/// compute.
+fn conv_cols(out: &[i8], frames: usize, out_channels: usize, n_mults: usize) -> Option<usize> {
+    assert!(frames > 0, "frames must be at least 1");
     if out_channels == 0 || out.is_empty() {
-        return;
+        return None;
     }
-    let ps = patch_stride(patch);
-    let frame_out = out.len() / batch;
-    assert_eq!(out.len(), batch * frame_out, "output size");
-    let cols = frame_out / out_channels;
-    assert_eq!(frame_out, out_channels * cols, "output size");
-    assert_eq!(lowered.len(), batch * cols * ps, "lowered size");
-    assert_eq!(
-        packed.len(),
-        out_channels.div_ceil(MR) * MR * ps,
-        "packed weight size"
-    );
-    assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = if relu {
+    assert_eq!(n_mults, out_channels, "multiplier count");
+    let cols = out.len() / (frames * out_channels);
+    assert_eq!(out.len(), frames * out_channels * cols, "output size");
+    Some(cols)
+}
+
+/// The ReLU floor of the fused epilogue: the output zero point, or
+/// `i8::MIN` (no clamp) without ReLU.
+fn relu_floor(relu: bool, out_zp: i32) -> i8 {
+    if relu {
         out_zp.clamp(-128, 127) as i8
     } else {
         i8::MIN
-    };
-
-    let chunk_len = pool.chunk_len_for(batch, frame_out);
-    let frames_per_chunk = chunk_len / frame_out;
-    #[cfg(target_arch = "x86_64")]
-    let has_avx2 = simd_enabled();
-    pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-        let f_base = idx * frames_per_chunk;
-        let nf = chunk.len() / frame_out;
-        let args = BatchChunkArgs {
-            packed,
-            ps,
-            lowered: &lowered[f_base * cols * ps..(f_base + nf) * cols * ps],
-            bias,
-            mults,
-            out_zp,
-            floor,
-            cols,
-            frame_out,
-            out_channels,
-        };
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2 {
-            // SAFETY: AVX2 support was verified above; the body is safe
-            // Rust, the attribute only widens the ISA it compiles to.
-            unsafe { conv_chunk_batched_avx2(&args, chunk) };
-            return;
-        }
-        conv_chunk_batched(&args, chunk);
-    });
+    }
 }
 
-/// Per-chunk invariants of [`qconv_panels_batch_into`].
-struct BatchChunkArgs<'a> {
+/// The part of a conv output one pool chunk covers: a panel range of a
+/// single frame, or whole frames.
+#[derive(Clone, Copy)]
+struct ConvChunk {
+    /// First frame of the chunk.
+    frame: usize,
+    /// Output elements per frame within this chunk.
+    frame_out: usize,
+    /// First output channel of the chunk (panel-aligned).
+    c_base: usize,
+    /// Channels the chunk covers.
+    live_ch: usize,
+}
+
+/// Splits a `frames × out_channels × cols` conv output across `pool`. One
+/// frame chunks over whole [`MR`]-channel panels (the only parallelism a
+/// single frame has); several frames chunk over whole frames. A chunk
+/// boundary therefore never splits a panel or a frame's output plane, and
+/// every output element is computed by the same code wherever it lands.
+fn for_each_conv_chunk(
+    pool: Pool,
+    out: &mut [i8],
+    frames: usize,
+    out_channels: usize,
+    cols: usize,
+    body: impl Fn(ConvChunk, &mut [i8]) + Sync,
+) {
+    if frames == 1 {
+        let chunk_len = pool.chunk_len_for(out_channels.div_ceil(MR), MR * cols);
+        let panels_per_chunk = chunk_len / (MR * cols);
+        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
+            let at = ConvChunk {
+                frame: 0,
+                frame_out: chunk.len(),
+                c_base: idx * panels_per_chunk * MR,
+                live_ch: chunk.len() / cols,
+            };
+            body(at, chunk);
+        });
+    } else {
+        let frame_out = out_channels * cols;
+        let chunk_len = pool.chunk_len_for(frames, frame_out);
+        let frames_per_chunk = chunk_len / frame_out;
+        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
+            let at = ConvChunk {
+                frame: idx * frames_per_chunk,
+                frame_out,
+                c_base: 0,
+                live_ch: out_channels,
+            };
+            body(at, chunk);
+        });
+    }
+}
+
+/// Per-chunk invariants of [`qconv_panels_into`], bundled so the chunk
+/// body can be compiled once per instruction set.
+struct ChunkArgs<'a> {
     packed: &'a [i16],
     ps: usize,
     /// This chunk's frames' columns only.
@@ -305,111 +303,14 @@ struct BatchChunkArgs<'a> {
     floor: i8,
     /// Output pixels per frame.
     cols: usize,
-    /// Output elements per frame (`out_channels * cols`).
-    frame_out: usize,
-    out_channels: usize,
+    at: ConvChunk,
 }
 
-/// The batched chunk body: every weight panel sweeps the chunk's
-/// `frames * cols` concatenated columns block by block; only the output
-/// index de-interleaves back to per-frame NCHW planes. An [`NR`] tile may
-/// straddle a frame boundary — harmless, because the lowered columns are
-/// globally contiguous and each output element is an independent dot.
-#[inline(always)]
-fn conv_chunk_batched(a: &BatchChunkArgs<'_>, chunk: &mut [i8]) {
-    let &BatchChunkArgs {
-        packed,
-        ps,
-        lowered,
-        bias,
-        mults,
-        out_zp,
-        floor,
-        cols,
-        frame_out,
-        out_channels,
-    } = a;
-    let n_cols = chunk.len() / frame_out * cols;
-    for px0 in (0..n_cols).step_by(PIXEL_BLOCK) {
-        let px1 = (px0 + PIXEL_BLOCK).min(n_cols);
-        for lp in (0..out_channels).step_by(MR) {
-            let wbase = lp * ps;
-            let w = [
-                &packed[wbase..wbase + ps],
-                &packed[wbase + ps..wbase + 2 * ps],
-                &packed[wbase + 2 * ps..wbase + 3 * ps],
-                &packed[wbase + 3 * ps..wbase + 4 * ps],
-            ];
-            let live = MR.min(out_channels - lp);
-            let mut pb = [0i32; MR];
-            let mut pmul = [0i32; MR];
-            let mut psh = [0u32; MR];
-            for m in 0..live {
-                pb[m] = bias[lp + m];
-                pmul[m] = mults[lp + m].multiplier;
-                psh[m] = mults[lp + m].shift as u32;
-            }
-            let mut col = px0;
-            while col + NR <= px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
-                let acc = dot_tile_4x2(w, xp, xq);
-                let f0 = col / cols;
-                let base0 = f0 * frame_out + lp * cols + (col - f0 * cols);
-                let f1 = (col + 1) / cols;
-                let base1 = f1 * frame_out + lp * cols + (col + 1 - f1 * cols);
-                for m in 0..live {
-                    chunk[base0 + m * cols] =
-                        requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                    chunk[base1 + m * cols] =
-                        requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                }
-                col += NR;
-            }
-            if col < px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let acc = dot_tile_4x1(w, xp);
-                let f0 = col / cols;
-                let base0 = f0 * frame_out + lp * cols + (col - f0 * cols);
-                for m in 0..live {
-                    chunk[base0 + m * cols] =
-                        requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                }
-            }
-        }
-    }
-}
-
-/// [`conv_chunk_batched`] recompiled with AVX2 enabled; bit-exact with the
-/// portable path for the same reason as [`conv_chunk_avx2`].
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support (the body itself is safe
-/// Rust; the attribute only changes code generation).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn conv_chunk_batched_avx2(a: &BatchChunkArgs<'_>, chunk: &mut [i8]) {
-    conv_chunk_batched(a, chunk);
-}
-
-/// Per-chunk invariants of [`qconv_panels_into`], bundled so the chunk
-/// body can be compiled once per instruction set.
-struct ChunkArgs<'a> {
-    packed: &'a [i16],
-    ps: usize,
-    lowered: &'a [i16],
-    bias: &'a [i32],
-    mults: &'a [FixedMultiplier],
-    out_zp: i32,
-    floor: i8,
-    cols: usize,
-    c_base: usize,
-}
-
-/// The chunk body: all panels of one chunk over all pixel blocks. Marked
-/// `inline(always)` so the `target_feature` wrapper below recompiles the
-/// whole loop nest (tiles included) with the wider vector ISA.
+/// The chunk body: every panel of the chunk over the chunk's
+/// `frames * cols` concatenated columns, one [`PIXEL_BLOCK`] at a time.
+/// Marked `inline(always)` so the `target_feature` wrapper below
+/// recompiles the whole loop nest (tiles included) with the wider vector
+/// ISA.
 #[inline(always)]
 fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
     let &ChunkArgs {
@@ -421,11 +322,18 @@ fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
         out_zp,
         floor,
         cols,
-        c_base,
+        at:
+            ConvChunk {
+                frame_out,
+                c_base,
+                live_ch,
+                ..
+            },
     } = a;
-    let live_ch = chunk.len() / cols;
-    for px0 in (0..cols).step_by(PIXEL_BLOCK) {
-        let px1 = (px0 + PIXEL_BLOCK).min(cols);
+    let n_cols = chunk.len() / frame_out * cols;
+    for px0 in (0..n_cols).step_by(PIXEL_BLOCK) {
+        let px1 = (px0 + PIXEL_BLOCK).min(n_cols);
+        let f0 = px0 / cols;
         for lp in (0..live_ch).step_by(MR) {
             let wbase = (c_base + lp) * ps;
             // The packed matrix is padded to whole panels, so all four
@@ -446,26 +354,50 @@ fn conv_chunk(a: &ChunkArgs<'_>, chunk: &mut [i8]) {
                 pmul[m] = mults[c_base + lp + m].multiplier;
                 psh[m] = mults[c_base + lp + m].shift as u32;
             }
+            // The block one frame segment at a time, so the tile loop
+            // never divides: column `col` of frame `f` lands at
+            // `row0 + col + m * cols`.
             let mut col = px0;
-            while col + NR <= px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
-                let acc = dot_tile_4x2(w, xp, xq);
-                for m in 0..live {
-                    let row = (lp + m) * cols + col;
-                    chunk[row] = requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
-                    chunk[row + 1] =
-                        requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
+            let mut f = f0;
+            while col < px1 {
+                let seg_end = ((f + 1) * cols).min(px1);
+                let row0 = f * (frame_out - cols) + lp * cols;
+                while col + NR <= seg_end {
+                    let xp = &lowered[col * ps..col * ps + ps];
+                    let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
+                    let acc = dot_tile_4x2(w, xp, xq);
+                    for m in 0..live {
+                        let row = row0 + m * cols + col;
+                        chunk[row] = requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                        chunk[row + 1] =
+                            requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                    }
+                    col += NR;
                 }
-                col += NR;
-            }
-            if col < px1 {
-                let xp = &lowered[col * ps..col * ps + ps];
-                let acc = dot_tile_4x1(w, xp);
-                for m in 0..live {
-                    chunk[(lp + m) * cols + col] =
-                        requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                if col < seg_end && col + 1 < px1 {
+                    // An odd segment tail pairs with the next frame's
+                    // first column, so concatenated frames tile densely.
+                    let xp = &lowered[col * ps..col * ps + ps];
+                    let xq = &lowered[(col + 1) * ps..(col + 1) * ps + ps];
+                    let acc = dot_tile_4x2(w, xp, xq);
+                    let next0 = row0 + frame_out - cols;
+                    for m in 0..live {
+                        chunk[row0 + m * cols + col] =
+                            requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                        chunk[next0 + m * cols + col + 1] =
+                            requant_clamp(acc[MR + m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                    }
+                    col += NR;
+                } else if col < seg_end {
+                    let xp = &lowered[col * ps..col * ps + ps];
+                    let acc = dot_tile_4x1(w, xp);
+                    for m in 0..live {
+                        chunk[row0 + m * cols + col] =
+                            requant_clamp(acc[m] + pb[m], pmul[m], psh[m], out_zp, floor);
+                    }
+                    col += 1;
                 }
+                f += 1;
             }
         }
     }
@@ -692,22 +624,30 @@ pub fn fold_offset_bias(
 // The raw-i8 kernel
 // ---------------------------------------------------------------------------
 
-/// Lowered raw-int8 convolution over [`pack_conv_panels_i8`] panels and a
-/// [`crate::lowering::qim2row_u8_into`] buffer:
-/// `out[c][col] = requant(folded_bias[c] + Σ_r panels[c][r] · u[r][col])`
+/// Lowered raw-int8 convolution over `frames` frames of
+/// [`pack_conv_panels_i8`] panels and
+/// [`crate::lowering::qim2row_u8_into`] buffers laid end to end (frame `f`
+/// owns `lowered[f*flen..(f+1)*flen]` with
+/// `flen = u8_lowered_len(cols, patch)`):
+/// `out[f][c][col] = requant(folded_bias[c] + Σ_r panels[c][r] · u[f][r][col])`
 /// with the fused ReLU clamp — bit-identical to [`qconv_panels_into`] on
 /// the i16 encoding of the same activations (see [`fold_offset_bias`]).
+/// Output is NCHW as for [`qconv_panels_into`].
 ///
 /// Tiles are [`MR`] filter rows × [`NR_I8`] columns: under AVX2 each
 /// k-pair is one 32-byte load of 16 interleaved column pairs, widened in
 /// register and reduced with `pmaddwd` into 8 i32 accumulator vectors,
-/// with a fully vectorized requantize epilogue. Work is chunked over
-/// whole panels ([`Pool::chunk_len_for`]), so results are bit-exact at
-/// any pool width.
+/// with a fully vectorized requantize epilogue. Work is split by
+/// [`for_each_conv_chunk`] (whole panels of one frame, or whole frames),
+/// and each weight panel is streamed once per [`PIXEL_BLOCK`]-column
+/// group of the chunk — across frames when `frames > 1`, which gives the
+/// skinny GEMV-shaped layers real column parallelism. Column blocks never
+/// straddle a frame. Results are bit-exact at any pool width and equal to
+/// `frames` single-frame calls.
 ///
 /// # Panics
 ///
-/// Panics on size mismatches.
+/// Panics on size mismatches or `frames == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn qconv_panels_i8_into(
     pool: Pool,
@@ -718,9 +658,10 @@ pub fn qconv_panels_i8_into(
     mults: &[FixedMultiplier],
     out_zp: i32,
     relu: bool,
+    frames: usize,
     out: &mut [i8],
 ) {
-    qconv_panels_i8_frames_into(
+    qconv_panels_i8_simd(
         pool,
         panels,
         patch,
@@ -729,60 +670,17 @@ pub fn qconv_panels_i8_into(
         mults,
         out_zp,
         relu,
-        1,
+        frames,
         out,
         simd_enabled(),
     );
 }
 
-/// Batched [`qconv_panels_i8_into`]: `batch` frames lowered per-frame
-/// blocked ([`crate::lowering::qim2row_u8_batch_into`]), output NCHW.
-/// Each weight panel is streamed once per [`PIXEL_BLOCK`]-column group of
-/// the *whole batch* — and unlike the i16 path's 2-column tiles, the
-/// 16-column blocks here give the skinny GEMV-shaped layers real column
-/// parallelism, which is where the batch slope finally comes from. Work
-/// is chunked over whole frames; bit-exact vs per-frame runs at any pool
-/// width.
-///
-/// # Panics
-///
-/// Panics on size mismatches or `batch == 0`.
+/// [`qconv_panels_i8_into`] with the body chosen by `use_simd` instead of
+/// [`simd_enabled`], so tests can pin the scalar and AVX2 bodies against
+/// each other in one process regardless of `NP_ISA`.
 #[allow(clippy::too_many_arguments)]
-pub fn qconv_panels_i8_batch_into(
-    pool: Pool,
-    panels: &[i8],
-    patch: usize,
-    lowered: &[u8],
-    folded_bias: &[i32],
-    mults: &[FixedMultiplier],
-    out_zp: i32,
-    relu: bool,
-    batch: usize,
-    out: &mut [i8],
-) {
-    assert!(batch > 0, "batch must be at least 1");
-    qconv_panels_i8_frames_into(
-        pool,
-        panels,
-        patch,
-        lowered,
-        folded_bias,
-        mults,
-        out_zp,
-        relu,
-        batch,
-        out,
-        simd_enabled(),
-    );
-}
-
-/// Shared implementation: `frames == 1` chunks over panels (channel
-/// parallelism), `frames > 1` over whole frames — mirroring the i16 pair
-/// of entry points. `use_simd` is explicit so tests can pin the scalar
-/// and AVX2 bodies against each other in one process regardless of
-/// `NP_ISA`; callers outside tests pass [`simd_enabled`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn qconv_panels_i8_frames_into(
+pub(crate) fn qconv_panels_i8_simd(
     pool: Pool,
     panels: &[i8],
     patch: usize,
@@ -795,16 +693,11 @@ pub(crate) fn qconv_panels_i8_frames_into(
     out: &mut [i8],
     use_simd: bool,
 ) {
-    assert!(frames > 0, "frames must be at least 1");
     let out_channels = folded_bias.len();
-    if out_channels == 0 || out.is_empty() {
+    let Some(cols) = conv_cols(out, frames, out_channels, mults.len()) else {
         return;
-    }
+    };
     let ps = patch_stride(patch);
-    let frame_out = out.len() / frames;
-    assert_eq!(out.len(), frames * frame_out, "output size");
-    let cols = frame_out / out_channels;
-    assert_eq!(frame_out, out_channels * cols, "output size");
     let nblk = cols.div_ceil(NR_I8);
     let fstride = nblk * NR_I8 * ps;
     assert_eq!(lowered.len(), frames * fstride, "lowered size");
@@ -813,65 +706,35 @@ pub(crate) fn qconv_panels_i8_frames_into(
         out_channels.div_ceil(MR) * MR * ps,
         "packed weight size"
     );
-    assert_eq!(mults.len(), out_channels, "multiplier count");
-    let floor = if relu {
-        out_zp.clamp(-128, 127) as i8
-    } else {
-        i8::MIN
-    };
-
-    if frames == 1 {
-        let n_panels = out_channels.div_ceil(MR);
-        let chunk_len = pool.chunk_len_for(n_panels, MR * cols);
-        let panels_per_chunk = chunk_len / (MR * cols);
-        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-            // First output channel of this chunk; always panel-aligned.
-            let c_base = idx * panels_per_chunk * MR;
-            let a = I8ChunkArgs {
-                panels,
-                ps,
-                lowered,
-                folded_bias,
-                mults,
-                out_zp,
-                floor,
-                cols,
-                nblk,
-                frame_out: chunk.len(),
-                c_base,
-                live_ch: chunk.len() / cols,
-            };
-            dispatch_i8(&a, chunk, use_simd);
-        });
-    } else {
-        let chunk_len = pool.chunk_len_for(frames, frame_out);
-        let frames_per_chunk = chunk_len / frame_out;
-        pool.for_each_chunk(out, chunk_len, |idx, chunk| {
-            let f_base = idx * frames_per_chunk;
-            let nf = chunk.len() / frame_out;
-            let a = I8ChunkArgs {
-                panels,
-                ps,
-                lowered: &lowered[f_base * fstride..(f_base + nf) * fstride],
-                folded_bias,
-                mults,
-                out_zp,
-                floor,
-                cols,
-                nblk,
-                frame_out,
-                c_base: 0,
-                live_ch: out_channels,
-            };
-            dispatch_i8(&a, chunk, use_simd);
-        });
-    }
+    let floor = relu_floor(relu, out_zp);
+    for_each_conv_chunk(pool, out, frames, out_channels, cols, |at, chunk| {
+        let nf = chunk.len() / at.frame_out;
+        let a = I8ChunkArgs {
+            panels,
+            ps,
+            lowered: &lowered[at.frame * fstride..(at.frame + nf) * fstride],
+            folded_bias,
+            mults,
+            out_zp,
+            floor,
+            cols,
+            nblk,
+            at,
+        };
+        #[cfg(target_arch = "x86_64")]
+        if use_simd {
+            // SAFETY: `use_simd` is only true when AVX2 was verified
+            // (`simd_enabled`, or a test gated on `avx2_available`).
+            unsafe { i8_chunk_avx2(&a, chunk) };
+            return;
+        }
+        let _ = use_simd;
+        i8_chunk_scalar(&a, chunk);
+    });
 }
 
-/// Per-chunk invariants of the i8 kernel. A chunk is either one frame's
-/// panel range (`c_base`/`live_ch` select the channels, `frame_out ==
-/// chunk.len()`) or several whole frames (`c_base == 0`, `live_ch ==
-/// out_channels`); the bodies handle both through the same index math.
+/// Per-chunk invariants of the i8 kernel; the bodies handle a panel range
+/// of one frame and several whole frames through the same index math.
 struct I8ChunkArgs<'a> {
     panels: &'a [i8],
     ps: usize,
@@ -885,25 +748,7 @@ struct I8ChunkArgs<'a> {
     cols: usize,
     /// Column blocks per frame.
     nblk: usize,
-    /// Output elements per frame within this chunk.
-    frame_out: usize,
-    /// First output channel of the chunk (panel-aligned).
-    c_base: usize,
-    /// Channels this chunk covers.
-    live_ch: usize,
-}
-
-#[inline(always)]
-fn dispatch_i8(a: &I8ChunkArgs<'_>, chunk: &mut [i8], use_simd: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        // SAFETY: `use_simd` is only true when AVX2 was verified
-        // (`simd_enabled`, or a test gated on `avx2_available`).
-        unsafe { i8_chunk_avx2(a, chunk) };
-        return;
-    }
-    let _ = use_simd;
-    i8_chunk_scalar(a, chunk);
+    at: ConvChunk,
 }
 
 /// One scalar MR×NR_I8 tile over a column block: `acc[m][c]` accumulates
@@ -952,9 +797,13 @@ fn i8_chunk_scalar(a: &I8ChunkArgs<'_>, chunk: &mut [i8]) {
         floor,
         cols,
         nblk,
-        frame_out,
-        c_base,
-        live_ch,
+        at:
+            ConvChunk {
+                frame_out,
+                c_base,
+                live_ch,
+                ..
+            },
     } = a;
     let total_blocks = chunk.len() / frame_out * nblk;
     let group = PIXEL_BLOCK / NR_I8;
@@ -1017,9 +866,13 @@ unsafe fn i8_chunk_avx2(a: &I8ChunkArgs<'_>, chunk: &mut [i8]) {
         floor,
         cols,
         nblk,
-        frame_out,
-        c_base,
-        live_ch,
+        at:
+            ConvChunk {
+                frame_out,
+                c_base,
+                live_ch,
+                ..
+            },
     } = a;
     let total_blocks = chunk.len() / frame_out * nblk;
     let group = PIXEL_BLOCK / NR_I8;
@@ -1276,6 +1129,7 @@ mod tests {
                     &mults,
                     -5,
                     true,
+                    1,
                     &mut got,
                 );
                 assert_eq!(
@@ -1288,8 +1142,8 @@ mod tests {
 
     #[test]
     fn batched_microkernel_equals_per_frame_runs() {
-        // The batched sweep must reproduce B independent single-frame
-        // kernel calls bit-for-bit, including ragged channel counts, odd
+        // The kernel at `frames = B` must reproduce B calls at
+        // `frames = 1` bit-for-bit, including ragged channel counts, odd
         // per-frame pixel counts (so NR tiles straddle frame boundaries),
         // and batch sizes around the parallel chunking.
         for (out_channels, patch, cols, batch) in [
@@ -1315,7 +1169,7 @@ mod tests {
                 .collect();
             let packed = pack_conv_panels(&weight, out_channels, patch);
 
-            // Reference: the single-frame kernel, frame by frame.
+            // Reference: the kernel at one frame, frame by frame.
             let mut want = vec![0i8; batch * out_channels * cols];
             for b in 0..batch {
                 qconv_panels_into(
@@ -1327,12 +1181,13 @@ mod tests {
                     &mults,
                     3,
                     true,
+                    1,
                     &mut want[b * out_channels * cols..(b + 1) * out_channels * cols],
                 );
             }
             for threads in [1usize, 2, 3, 8] {
                 let mut got = vec![0i8; batch * out_channels * cols];
-                qconv_panels_batch_into(
+                qconv_panels_into(
                     Pool::new(threads),
                     &packed,
                     patch,
@@ -1485,7 +1340,7 @@ mod tests {
                 for use_simd in simd_modes {
                     for threads in [1usize, 2, 3, 8] {
                         let mut got = vec![0i8; out_channels * cols];
-                        qconv_panels_i8_frames_into(
+                        qconv_panels_i8_simd(
                             Pool::new(threads),
                             &panels,
                             patch,
@@ -1565,7 +1420,7 @@ mod tests {
                     }
                     for use_simd in simd_modes {
                         let mut got = vec![0i8; out_channels * cols];
-                        qconv_panels_i8_frames_into(
+                        qconv_panels_i8_simd(
                             Pool::serial(),
                             &panels,
                             patch,
@@ -1626,7 +1481,7 @@ mod tests {
                 // Reference: the single-frame i8 kernel, frame by frame.
                 let mut want = vec![0i8; batch * out_channels * cols];
                 for b in 0..batch {
-                    qconv_panels_i8_frames_into(
+                    qconv_panels_i8_simd(
                         Pool::serial(),
                         &panels,
                         patch,
@@ -1642,7 +1497,7 @@ mod tests {
                 }
                 for threads in [1usize, 2, 3, 8] {
                     let mut got = vec![0i8; batch * out_channels * cols];
-                    qconv_panels_i8_frames_into(
+                    qconv_panels_i8_simd(
                         Pool::new(threads),
                         &panels,
                         patch,

@@ -31,22 +31,26 @@
 //! test) and produces outputs bit-identical to `run_int` — integer
 //! arithmetic makes the restructured loops exact, not approximately equal.
 //!
+//! One step interpreter serves every run entry. It takes an arena plan and
+//! a frame count: the per-frame plan at one frame, or — for a
+//! [`QuantizedProgram::compile_batched`] program — the `max_batch`-scaled
+//! batch plan at up to `max_batch` frames, where each conv step sweeps its
+//! weight panels once over all frames.
+//!
 //! [`MR`]: crate::microkernel::MR
 
 use crate::kernels::{qdw_plane, QConvGeometry};
-use crate::lowering::{
-    patch_stride, qim2row_batch_into, qim2row_into, qim2row_u8_batch_into, qim2row_u8_into,
-    u8_lowered_len,
-};
+use crate::lowering::{patch_stride, qim2row_into, qim2row_u8_into, u8_lowered_len};
 use crate::microkernel::{
-    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_batch_into,
-    qconv_panels_i8_batch_into, qconv_panels_i8_into, qconv_panels_into, KernelIsa,
+    fold_offset_bias, kernel_isa, pack_conv_panels, pack_conv_panels_i8, qconv_panels_i8_into,
+    qconv_panels_into, KernelIsa,
 };
 use crate::qnetwork::{QLayer, QuantizedNetwork};
 use crate::qparams::{fold_zero_point, QuantParams};
 use crate::requant::{requantize_to_i8, FixedMultiplier};
 use np_tensor::arena::{disjoint_pair, plan_arena, plan_arena_batched, BufferReq};
 use np_tensor::parallel::Pool;
+use std::ops::Range;
 
 /// Compile-time weight format of a conv step, chosen by the program's
 /// [`KernelIsa`]. Both formats produce bit-identical outputs; they differ
@@ -285,33 +289,19 @@ impl QScratch {
     /// batch-compiled program reserves its scaled batch plan too, so one
     /// scratch serves both the per-frame and the batched entry points.
     pub fn reserve(&mut self, program: &QuantizedProgram) {
-        let (arena_len, lowered_len, lowered_u8_len, out_frames) = match &program.batch_plan {
-            Some(bp) => (
-                program.arena_len.max(bp.arena_len),
-                program.lowered_len.max(bp.lowered_len),
-                program.lowered_u8_len.max(bp.lowered_u8_len),
-                bp.max_batch,
-            ),
-            None => (
-                program.arena_len,
-                program.lowered_len,
-                program.lowered_u8_len,
-                1,
-            ),
+        // The larger of the two plans' sizes, so each buffer grows at most
+        // once.
+        let need = |len: fn(&Plan) -> usize| {
+            let batch = program.batch_plan.as_ref().map_or(0, len);
+            len(&program.frame_plan).max(batch)
         };
-        if self.arena.len() < arena_len {
-            self.arena.resize(arena_len, 0);
-        }
-        if self.lowered.len() < lowered_len {
-            self.lowered.resize(lowered_len, 0);
-        }
-        if self.lowered_u8.len() < lowered_u8_len {
-            self.lowered_u8.resize(lowered_u8_len, 0);
-        }
-        let out_len = out_frames * program.buf_sizes[program.output_buf];
-        if self.out_f32.len() < out_len {
-            self.out_f32.resize(out_len, 0.0);
-        }
+        grow(&mut self.arena, need(|p| p.arena_len));
+        grow(&mut self.lowered, need(|p| p.lowered_len));
+        grow(&mut self.lowered_u8, need(|p| p.lowered_u8_len));
+        grow(
+            &mut self.out_f32,
+            program.max_batch() * program.output_len(),
+        );
     }
 
     /// Total bytes currently held by the scratch buffers (activation
@@ -322,28 +312,47 @@ impl QScratch {
     }
 }
 
-/// The cross-frame half of a batched compile: the same live ranges as the
-/// per-frame plan with every buffer scaled to `max_batch ×` its size, so
-/// up to `max_batch` frames flow through the step list in one pass.
-/// Within a buffer's region, frame `b` owns the contiguous slice
-/// `[offset + b*size, offset + (b+1)*size)` — plain NCHW concatenation,
-/// so per-frame outputs come back as contiguous slices of the batched
-/// output plane.
+/// Grows `buf` to `len` elements if it is shorter (never shrinks).
+fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+}
+
+/// One arena layout of the step list, with its scratch sizes and trace
+/// spans. Every program has the per-frame plan; a batch-compiled one also
+/// has a batch plan: the same live ranges with every buffer scaled to
+/// `max_batch ×` its size, so up to `max_batch` frames flow through the
+/// step list in one pass. Within a buffer's region, frame `b` owns the
+/// contiguous slice `[offset + b*size, offset + (b+1)*size)` — plain NCHW
+/// concatenation, so per-frame outputs come back as contiguous slices of
+/// the batched output plane. A pass over fewer frames than the plan was
+/// laid out for uses a prefix of every region, so disjointness is
+/// inherited.
 #[derive(Debug, Clone)]
-struct BatchPlan {
-    /// Largest batch a single `run_int_batched` call may carry.
-    max_batch: usize,
-    /// Arena offsets of each buffer's `max_batch × size` region.
+struct Plan {
+    /// Arena offset of each buffer's region.
     buf_offsets: Vec<usize>,
     arena_len: usize,
+    /// Size of the i16 im2row buffer (i16-format convs).
     lowered_len: usize,
+    /// Size of the offset-binary u8 im2row buffer (i8-format convs); zero
+    /// when every conv packed i16, so the unused format costs no scratch
+    /// bytes.
     lowered_u8_len: usize,
-    /// One span per step for batched passes, named `{name}@batch/..` so
-    /// per-frame drift reports never mix the two populations.
+    /// One np-trace span per step, registered at compile time so the
+    /// executor's hot path never touches the span registry. Named
+    /// `{name}/NN-kind` in the per-frame plan and `{name}@batch/NN-kind`
+    /// in the batch plan, so per-frame drift reports never mix the two
+    /// populations. All-INACTIVE when the `trace` feature is off.
     step_spans: Vec<np_trace::SpanId>,
-    /// Span covering one whole batched pass; the batch size is recorded
-    /// in its bytes field.
+    /// Span covering one whole pass (`{name}/frame`, `{name}@batch/run`);
+    /// the pass's frame count is recorded in its bytes field.
     run_span: np_trace::SpanId,
+    /// Frames each buffer region is laid out for: 1 in the per-frame
+    /// plan, `max_batch` in the batch plan. A `u32` fills the padding
+    /// beside `run_span`, so the plan costs no bytes beyond its buffers.
+    frames: u32,
 }
 
 /// A [`QuantizedNetwork`] compiled for one input shape: static arena
@@ -357,28 +366,19 @@ pub struct QuantizedProgram {
     input_chw: (usize, usize, usize),
     output_chw: (usize, usize, usize),
     steps: Vec<Step>,
-    buf_offsets: Vec<usize>,
+    /// Per-frame size of every buffer.
     buf_sizes: Vec<usize>,
-    arena_len: usize,
-    lowered_len: usize,
-    /// Size of the offset-binary u8 im2row buffer (i8-format convs);
-    /// zero when every conv packed i16, so the unused format costs no
-    /// scratch bytes.
-    lowered_u8_len: usize,
     output_buf: usize,
-    /// One np-trace span per step, registered at compile time so the
-    /// executor's hot path never touches the span registry. All-INACTIVE
-    /// when the `trace` feature is off.
-    step_spans: Vec<np_trace::SpanId>,
-    /// Arena bytes each step reads + writes, precomputed for telemetry.
+    /// Arena bytes each step reads + writes per frame, precomputed for
+    /// telemetry.
     step_bytes: Vec<u64>,
-    /// Span covering one whole `exec_steps` pass.
-    frame_span: np_trace::SpanId,
     /// The kernel isa the program's weights were packed for.
     isa: KernelIsa,
-    /// Present iff compiled with [`Self::compile_batched`]: the scaled
-    /// arena plan for cross-frame batched passes.
-    batch_plan: Option<BatchPlan>,
+    /// The per-frame plan; every single-frame pass runs on it.
+    frame_plan: Plan,
+    /// Present iff compiled with [`Self::compile_batched`] and
+    /// `max_batch > 1`: the scaled plan for cross-frame batched passes.
+    batch_plan: Option<Plan>,
 }
 
 impl QuantizedProgram {
@@ -622,40 +622,38 @@ impl QuantizedProgram {
             .zip(bufs.first.iter().zip(bufs.last.iter()))
             .map(|(&bytes, (&f, &l))| BufferReq::new(bytes, f, l))
             .collect();
-        let plan = plan_arena(&reqs);
-
-        let step_spans = steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| np_trace::register_span(&format!("{}/{i:02}-{}", net.name(), s.kind())))
-            .collect();
-        let step_bytes = steps.iter().map(|s| s.io_bytes(&bufs.sizes)).collect();
-        let frame_span = np_trace::register_span(&format!("{}/frame", net.name()));
-
+        let step_spans = |prefix: &str| -> Vec<np_trace::SpanId> {
+            steps
+                .iter()
+                .enumerate()
+                .map(|(i, s)| np_trace::register_span(&format!("{prefix}/{i:02}-{}", s.kind())))
+                .collect()
+        };
+        let unit = plan_arena(&reqs);
+        let frame_plan = Plan {
+            buf_offsets: unit.offsets,
+            arena_len: unit.arena_bytes,
+            lowered_len,
+            lowered_u8_len,
+            step_spans: step_spans(net.name()),
+            run_span: np_trace::register_span(&format!("{}/frame", net.name())),
+            frames: 1,
+        };
         // The batched plan is the same live-range packing at B × the
         // bytes (see `plan_arena_batched`); its spans live under a
         // `{name}@batch/` prefix so the per-frame drift report's
         // step-to-layer alignment never sees batched samples.
         let batch_plan = (max_batch > 1).then(|| {
-            let bplan = plan_arena_batched(&reqs, max_batch);
-            BatchPlan {
-                max_batch,
-                buf_offsets: bplan.offsets,
-                arena_len: bplan.arena_bytes,
+            let scaled = plan_arena_batched(&reqs, max_batch);
+            let prefix = format!("{}@batch", net.name());
+            Plan {
+                buf_offsets: scaled.offsets,
+                arena_len: scaled.arena_bytes,
                 lowered_len: lowered_len * max_batch,
                 lowered_u8_len: lowered_u8_len * max_batch,
-                step_spans: steps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        np_trace::register_span(&format!(
-                            "{}@batch/{i:02}-{}",
-                            net.name(),
-                            s.kind()
-                        ))
-                    })
-                    .collect(),
-                run_span: np_trace::register_span(&format!("{}@batch/run", net.name())),
+                step_spans: step_spans(&prefix),
+                run_span: np_trace::register_span(&format!("{prefix}/run")),
+                frames: u32::try_from(max_batch).expect("max_batch fits in u32"),
             }
         });
 
@@ -665,17 +663,12 @@ impl QuantizedProgram {
             output_params: net.output_params(),
             input_chw: chw,
             output_chw: (c, h, w),
+            step_bytes: steps.iter().map(|s| s.io_bytes(&bufs.sizes)).collect(),
             steps,
-            buf_offsets: plan.offsets,
             buf_sizes: bufs.sizes,
-            arena_len: plan.arena_bytes,
-            lowered_len,
-            lowered_u8_len,
             output_buf: bufs.cur,
-            step_spans,
-            step_bytes,
-            frame_span,
             isa,
+            frame_plan,
             batch_plan,
         }
     }
@@ -714,7 +707,7 @@ impl QuantizedProgram {
     /// `np-dory`'s `activation_bytes` L2 bound (the program plan fuses
     /// ReLU in place and aliases reshapes, so it is `<=` that bound).
     pub fn arena_bytes(&self) -> usize {
-        self.arena_len
+        self.frame_plan.arena_len
     }
 
     /// Naive per-frame allocation footprint this plan replaces: the sum of
@@ -870,14 +863,7 @@ impl QuantizedProgram {
         scratch: &'s mut QScratch,
         input: &[i8],
     ) -> (&'s [i8], (usize, usize, usize)) {
-        assert_eq!(input.len(), self.buf_sizes[0], "input size mismatch");
-        scratch.reserve(self);
-        let in_off = self.buf_offsets[0];
-        scratch.arena[in_off..in_off + input.len()].copy_from_slice(input);
-        self.exec_steps(pool, scratch);
-        let out_off = self.buf_offsets[self.output_buf];
-        let out_len = self.buf_sizes[self.output_buf];
-        (&scratch.arena[out_off..out_off + out_len], self.output_chw)
+        self.run_int_batched(pool, scratch, input, 1)
     }
 
     /// Float-in/float-out single-frame entry: quantizes `frame` straight
@@ -894,27 +880,14 @@ impl QuantizedProgram {
         scratch: &'s mut QScratch,
         frame: &[f32],
     ) -> &'s [f32] {
-        assert_eq!(frame.len(), self.buf_sizes[0], "input size mismatch");
-        scratch.reserve(self);
-        let in_off = self.buf_offsets[0];
-        self.input_params
-            .quantize_into(frame, &mut scratch.arena[in_off..in_off + frame.len()]);
-        self.exec_steps(pool, scratch);
-        let out_off = self.buf_offsets[self.output_buf];
-        let out_len = self.buf_sizes[self.output_buf];
-        {
-            let QScratch { arena, out_f32, .. } = scratch;
-            self.output_params
-                .dequantize_into(&arena[out_off..out_off + out_len], &mut out_f32[..out_len]);
-        }
-        &scratch.out_f32[..out_len]
+        self.forward_batched(pool, scratch, frame, 1)
     }
 
     /// Largest batch size [`Self::run_int_batched`] accepts: the
     /// `max_batch` passed to [`Self::compile_batched`], or 1 for a plain
     /// [`Self::compile`] (which has no batched entry).
     pub fn max_batch(&self) -> usize {
-        self.batch_plan.as_ref().map_or(1, |bp| bp.max_batch)
+        self.batch_plan.as_ref().map_or(1, |p| p.frames as usize)
     }
 
     /// Planned arena size of the batched path in bytes (equals
@@ -922,7 +895,7 @@ impl QuantizedProgram {
     pub fn batched_arena_bytes(&self) -> usize {
         self.batch_plan
             .as_ref()
-            .map_or(self.arena_len, |bp| bp.arena_len)
+            .map_or(self.frame_plan.arena_len, |bp| bp.arena_len)
     }
 
     /// Runs `batch` already-quantized CHW frames (concatenated NCHW in
@@ -932,20 +905,22 @@ impl QuantizedProgram {
     ///
     /// Each conv step lowers all `batch` frames and sweeps the packed
     /// weight panels across their concatenated columns once
-    /// ([`qconv_panels_batch_into`]), so per-panel weight traffic is paid
-    /// per batch instead of per frame; depthwise/pool steps treat the
-    /// batch as `batch × channels` independent planes; the linear step
-    /// streams each weight row across all frames. Outputs are
-    /// bit-identical to `batch` independent [`Self::run_int_prepacked`]
-    /// calls, at any pool width, and a warm scratch makes the pass
-    /// allocation-free at any pool width — the same guarantees as the
-    /// per-frame entry.
+    /// ([`qconv_panels_into`] / [`qconv_panels_i8_into`] at
+    /// `frames = batch`), so per-panel weight traffic is paid per batch
+    /// instead of per frame; depthwise/pool steps treat the batch as
+    /// `batch × channels` independent planes; the linear step streams each
+    /// weight row across all frames. Outputs are bit-identical to `batch`
+    /// independent [`Self::run_int_prepacked`] calls, at any pool width,
+    /// and a warm scratch makes the pass allocation-free at any pool width
+    /// — the same guarantees as the per-frame entry. `batch == 1` runs on
+    /// the per-frame plan, so its latency is exactly the single-frame
+    /// path's.
     ///
     /// # Panics
     ///
-    /// Panics if the program was not [`Self::compile_batched`]-compiled
-    /// with `max_batch >= batch`, if `batch == 0`, or if `inputs` is not
-    /// exactly `batch` input frames.
+    /// Panics if `batch > 1` and the program was not
+    /// [`Self::compile_batched`]-compiled with `max_batch >= batch`, if
+    /// `batch == 0`, or if `inputs` is not exactly `batch` input frames.
     pub fn run_int_batched<'s>(
         &self,
         pool: Pool,
@@ -953,32 +928,10 @@ impl QuantizedProgram {
         inputs: &[i8],
         batch: usize,
     ) -> (&'s [i8], (usize, usize, usize)) {
-        if batch == 1 {
-            // Delegate to the per-frame plan: identical results, and the
-            // B=1 latency is exactly the single-frame path's.
-            return self.run_int_prepacked(pool, scratch, inputs);
-        }
-        let bp = self
-            .batch_plan
-            .as_ref()
-            .expect("program was not compiled with compile_batched");
-        assert!(
-            batch <= bp.max_batch,
-            "batch {batch} exceeds compiled max_batch {}",
-            bp.max_batch
-        );
-        assert_eq!(
-            inputs.len(),
-            batch * self.buf_sizes[0],
-            "input size mismatch"
-        );
-        scratch.reserve(self);
-        let in_off = bp.buf_offsets[0];
-        scratch.arena[in_off..in_off + inputs.len()].copy_from_slice(inputs);
-        self.exec_steps_batched(pool, scratch, batch);
-        let out_off = bp.buf_offsets[self.output_buf];
-        let out_len = batch * self.buf_sizes[self.output_buf];
-        (&scratch.arena[out_off..out_off + out_len], self.output_chw)
+        let out = self.run(pool, scratch, inputs.len(), batch, |dst| {
+            dst.copy_from_slice(inputs)
+        });
+        (&scratch.arena[out], self.output_chw)
     }
 
     /// Float-in/float-out batched entry: quantizes `batch` concatenated
@@ -997,52 +950,78 @@ impl QuantizedProgram {
         frames: &[f32],
         batch: usize,
     ) -> &'s [f32] {
-        if batch == 1 {
-            return self.forward_prepacked(pool, scratch, frames);
+        let out = self.run(pool, scratch, frames.len(), batch, |dst| {
+            self.input_params.quantize_into(frames, dst)
+        });
+        let n = out.len();
+        {
+            let QScratch { arena, out_f32, .. } = scratch;
+            self.output_params
+                .dequantize_into(&arena[out], &mut out_f32[..n]);
         }
-        let bp = self
+        &scratch.out_f32[..n]
+    }
+
+    /// The one path behind every run entry: picks the plan for `batch`,
+    /// lets `load` write the `input_len` input elements into its input
+    /// region, executes the steps, and returns the arena range of the
+    /// `batch` output frames.
+    fn run(
+        &self,
+        pool: Pool,
+        scratch: &mut QScratch,
+        input_len: usize,
+        batch: usize,
+        load: impl FnOnce(&mut [i8]),
+    ) -> Range<usize> {
+        let plan = self.plan_for(batch);
+        assert_eq!(input_len, batch * self.buf_sizes[0], "input size mismatch");
+        scratch.reserve(self);
+        let in_off = plan.buf_offsets[0];
+        load(&mut scratch.arena[in_off..in_off + input_len]);
+        self.exec_steps(plan, batch, pool, scratch);
+        let out_off = plan.buf_offsets[self.output_buf];
+        out_off..out_off + batch * self.output_len()
+    }
+
+    /// The plan a `batch`-frame pass runs on: the per-frame plan at
+    /// `batch == 1` (so B=1 latency is exactly a plain compile's), the
+    /// batch plan otherwise.
+    fn plan_for(&self, batch: usize) -> &Plan {
+        assert!(batch >= 1, "batch must be at least 1");
+        if batch == 1 {
+            return &self.frame_plan;
+        }
+        let plan = self
             .batch_plan
             .as_ref()
             .expect("program was not compiled with compile_batched");
         assert!(
-            batch <= bp.max_batch,
+            batch <= plan.frames as usize,
             "batch {batch} exceeds compiled max_batch {}",
-            bp.max_batch
+            plan.frames
         );
-        assert_eq!(
-            frames.len(),
-            batch * self.buf_sizes[0],
-            "input size mismatch"
-        );
-        scratch.reserve(self);
-        let in_off = bp.buf_offsets[0];
-        self.input_params
-            .quantize_into(frames, &mut scratch.arena[in_off..in_off + frames.len()]);
-        self.exec_steps_batched(pool, scratch, batch);
-        let out_off = bp.buf_offsets[self.output_buf];
-        let out_len = batch * self.buf_sizes[self.output_buf];
-        {
-            let QScratch { arena, out_f32, .. } = scratch;
-            self.output_params
-                .dequantize_into(&arena[out_off..out_off + out_len], &mut out_f32[..out_len]);
-        }
-        &scratch.out_f32[..out_len]
+        plan
     }
 
-    /// Executes the step list over `batch` frames against a warm scratch,
-    /// using the batch plan's scaled buffer regions. Within every region
-    /// the frames sit contiguously (NCHW), so depthwise/pool steps
-    /// degenerate to the per-frame kernels over `batch × channels` planes
-    /// and stay bit-exact trivially; conv and linear get the
-    /// weight-amortized batched loops.
-    fn exec_steps_batched(&self, pool: Pool, scratch: &mut QScratch, batch: usize) {
-        let bp = self.batch_plan.as_ref().expect("batch plan");
+    /// Executes the step list over `batch` frames laid out by `plan`
+    /// against a warm scratch. Within every buffer region the frames sit
+    /// contiguously (NCHW), so depthwise/pool steps run the per-plane
+    /// kernels over `batch × channels` planes, conv steps lower each frame
+    /// and run one panel sweep at `frames = batch`, and the linear step
+    /// reads each weight row once for all frames. Allocation-free,
+    /// including the np-trace probes (spans were registered at compile
+    /// time; recording writes into preallocated rings).
+    fn exec_steps(&self, plan: &Plan, batch: usize, pool: Pool, scratch: &mut QScratch) {
         let QScratch {
             arena,
             lowered,
             lowered_u8,
             ..
         } = scratch;
+        // Offset and live length (`batch ×` the per-frame size) of buffer
+        // `id`'s region.
+        let buf = |id: usize| (plan.buf_offsets[id], batch * self.buf_sizes[id]);
         let run_start = np_trace::start();
         for (step_idx, step) in self.steps.iter().enumerate() {
             let step_start = np_trace::start();
@@ -1062,26 +1041,21 @@ impl QuantizedProgram {
                     let (oh, ow) = geo.out_hw(*h, *w);
                     let cols = oh * ow;
                     let patch = geo.in_channels * geo.kernel * geo.kernel;
-                    let (in_off, in_len) = self.batch_buf_at(*input, batch);
-                    let (out_off, out_len) = self.batch_buf_at(*output, batch);
+                    let (in_off, in_len) = buf(*input);
+                    let (out_off, out_len) = buf(*output);
+                    let x = &arena[in_off..in_off + in_len];
                     let pool = pool.for_work(batch * geo.out_channels * patch * cols);
                     match weights {
                         ConvWeights::I16 { packed, bias } => {
-                            let ps = patch_stride(patch);
-                            qim2row_batch_into(
-                                &arena[in_off..in_off + in_len],
-                                batch,
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                &mut lowered[..batch * cols * ps],
-                            );
-                            qconv_panels_batch_into(
+                            let low = &mut lowered[..batch * cols * patch_stride(patch)];
+                            lower_frames(x, low, batch, |xf, lf| {
+                                qim2row_into(xf, *h, *w, *in_zp, *geo, lf)
+                            });
+                            qconv_panels_into(
                                 pool,
                                 packed,
                                 patch,
-                                &lowered[..batch * cols * ps],
+                                low,
                                 bias,
                                 mults,
                                 *out_zp,
@@ -1094,21 +1068,15 @@ impl QuantizedProgram {
                             panels,
                             folded_bias,
                         } => {
-                            let flen = u8_lowered_len(cols, patch);
-                            qim2row_u8_batch_into(
-                                &arena[in_off..in_off + in_len],
-                                batch,
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                &mut lowered_u8[..batch * flen],
-                            );
-                            qconv_panels_i8_batch_into(
+                            let low = &mut lowered_u8[..batch * u8_lowered_len(cols, patch)];
+                            lower_frames(x, low, batch, |xf, lf| {
+                                qim2row_u8_into(xf, *h, *w, *in_zp, *geo, lf)
+                            });
+                            qconv_panels_i8_into(
                                 pool,
                                 panels,
                                 patch,
-                                &lowered_u8[..batch * flen],
+                                low,
                                 folded_bias,
                                 mults,
                                 *out_zp,
@@ -1137,22 +1105,21 @@ impl QuantizedProgram {
                 } => {
                     let oh = (h + 2 * padding - kernel) / stride + 1;
                     let ow = (w + 2 * padding - kernel) / stride + 1;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     // NCHW concatenation makes the batch `batch*channels`
                     // consecutive planes; plane `pi` belongs to channel
-                    // `pi % channels` of frame `pi / channels`.
+                    // `pi % channels` of frame `pi / channels`. The channel
+                    // is stepped, not divided, per plane: late layers have
+                    // planes of a few pixels.
                     let planes = batch * channels;
                     let pool = pool.for_work(planes * kernel * kernel * oh * ow);
                     let chunk_len = pool.chunk_len_for(planes, oh * ow);
                     let pl_per_chunk = chunk_len / (oh * ow).max(1);
                     pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
+                        let pi0 = idx * pl_per_chunk;
+                        let mut ci = pi0 % channels;
                         for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let pi = idx * pl_per_chunk + j;
-                            let ci = pi % channels;
+                            let pi = pi0 + j;
                             qdw_plane(
                                 &inp[pi * h * w..(pi + 1) * h * w],
                                 *h,
@@ -1170,6 +1137,7 @@ impl QuantizedProgram {
                                 oh,
                                 ow,
                             );
+                            ci = if ci + 1 == *channels { 0 } else { ci + 1 };
                         }
                     });
                 }
@@ -1184,11 +1152,7 @@ impl QuantizedProgram {
                     input,
                     output,
                 } => {
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     // Weight-row outer, frame inner: each row is streamed
                     // from memory once per batch instead of once per
                     // frame — the FC layer is pure GEMV, so this is where
@@ -1222,11 +1186,7 @@ impl QuantizedProgram {
                 } => {
                     let oh = (h - kernel) / stride + 1;
                     let ow = (w - kernel) / stride + 1;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     let planes = batch * channels;
                     let pool = pool.for_work(planes * kernel * kernel * oh * ow);
                     let chunk_len = pool.chunk_len_for(planes, oh * ow);
@@ -1263,11 +1223,7 @@ impl QuantizedProgram {
                     let oh = (h - kernel) / stride + 1;
                     let ow = (w - kernel) / stride + 1;
                     let div = (kernel * kernel) as i32;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
                     let planes = batch * channels;
                     let pool = pool.for_work(planes * kernel * kernel * oh * ow);
                     let chunk_len = pool.chunk_len_for(planes, oh * ow);
@@ -1304,13 +1260,8 @@ impl QuantizedProgram {
                     output,
                 } => {
                     let div = (h * w) as i32;
-                    let (inp, outp) = disjoint_pair(
-                        arena,
-                        self.batch_buf_at(*input, batch),
-                        self.batch_buf_at(*output, batch),
-                    );
-                    let planes = batch * channels;
-                    for (pi, o) in outp.iter_mut().enumerate().take(planes) {
+                    let (inp, outp) = disjoint_pair(arena, buf(*input), buf(*output));
+                    for (pi, o) in outp.iter_mut().enumerate().take(batch * channels) {
                         let plane = &inp[pi * h * w..(pi + 1) * h * w];
                         let sum: i32 = plane.iter().map(|&v| v as i32).sum();
                         let rounded = if sum >= 0 {
@@ -1321,8 +1272,8 @@ impl QuantizedProgram {
                         *o = rounded.clamp(-128, 127) as i8;
                     }
                 }
-                Step::ReluInPlace { zp, buf } => {
-                    let (off, len) = self.batch_buf_at(*buf, batch);
+                Step::ReluInPlace { zp, buf: id } => {
+                    let (off, len) = buf(*id);
                     let floor = (*zp).clamp(-128, 127) as i8;
                     for v in &mut arena[off..off + len] {
                         if (*v as i32) < *zp {
@@ -1332,297 +1283,28 @@ impl QuantizedProgram {
                 }
             }
             np_trace::finish(
-                bp.step_spans[step_idx],
+                plan.step_spans[step_idx],
                 step_start,
                 batch as u64 * self.step_bytes[step_idx],
             );
         }
-        // The batch size rides in the bytes field: `bytes / count` in a
-        // trace report is the mean B per batched pass.
-        np_trace::finish(bp.run_span, run_start, batch as u64);
+        // The frame count rides in the bytes field: `bytes / count` in a
+        // trace report is the mean B per pass.
+        np_trace::finish(plan.run_span, run_start, batch as u64);
     }
+}
 
-    /// Offset and *live* length (`batch × size`) of buffer `id`'s region
-    /// in the batched plan. Regions are laid out for `max_batch`, so a
-    /// smaller run uses a prefix — disjointness is inherited.
-    fn batch_buf_at(&self, id: usize, batch: usize) -> (usize, usize) {
-        let bp = self.batch_plan.as_ref().expect("batch plan");
-        (bp.buf_offsets[id], batch * self.buf_sizes[id])
-    }
-
-    /// Executes the step list against a warm scratch. Allocation-free,
-    /// including the np-trace probes (spans were registered at compile
-    /// time; recording writes into preallocated rings).
-    fn exec_steps(&self, pool: Pool, scratch: &mut QScratch) {
-        let QScratch {
-            arena,
-            lowered,
-            lowered_u8,
-            ..
-        } = scratch;
-        let frame_start = np_trace::start();
-        for (step_idx, step) in self.steps.iter().enumerate() {
-            let step_start = np_trace::start();
-            match step {
-                Step::Conv {
-                    geo,
-                    h,
-                    w,
-                    in_zp,
-                    weights,
-                    mults,
-                    out_zp,
-                    relu,
-                    input,
-                    output,
-                } => {
-                    let (oh, ow) = geo.out_hw(*h, *w);
-                    let cols = oh * ow;
-                    let patch = geo.in_channels * geo.kernel * geo.kernel;
-                    let (in_off, in_len) = self.buf_at(*input);
-                    let (out_off, out_len) = self.buf_at(*output);
-                    let pool = pool.for_work(geo.out_channels * patch * cols);
-                    match weights {
-                        ConvWeights::I16 { packed, bias } => {
-                            let ps = patch_stride(patch);
-                            qim2row_into(
-                                &arena[in_off..in_off + in_len],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                &mut lowered[..cols * ps],
-                            );
-                            qconv_panels_into(
-                                pool,
-                                packed,
-                                patch,
-                                &lowered[..cols * ps],
-                                bias,
-                                mults,
-                                *out_zp,
-                                *relu,
-                                &mut arena[out_off..out_off + out_len],
-                            );
-                        }
-                        ConvWeights::I8 {
-                            panels,
-                            folded_bias,
-                        } => {
-                            let flen = u8_lowered_len(cols, patch);
-                            qim2row_u8_into(
-                                &arena[in_off..in_off + in_len],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *geo,
-                                &mut lowered_u8[..flen],
-                            );
-                            qconv_panels_i8_into(
-                                pool,
-                                panels,
-                                patch,
-                                &lowered_u8[..flen],
-                                folded_bias,
-                                mults,
-                                *out_zp,
-                                *relu,
-                                &mut arena[out_off..out_off + out_len],
-                            );
-                        }
-                    }
-                }
-                Step::Depthwise {
-                    channels,
-                    kernel,
-                    stride,
-                    padding,
-                    h,
-                    w,
-                    in_zp,
-                    weight,
-                    bias,
-                    mults,
-                    out_zp,
-                    relu,
-                    input,
-                    output,
-                } => {
-                    let oh = (h + 2 * padding - kernel) / stride + 1;
-                    let ow = (w + 2 * padding - kernel) / stride + 1;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(*channels, oh * ow);
-                    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let ci = idx * ch_per_chunk + j;
-                            qdw_plane(
-                                &inp[ci * h * w..(ci + 1) * h * w],
-                                *h,
-                                *w,
-                                *in_zp,
-                                *kernel,
-                                *stride,
-                                *padding,
-                                &weight[ci * kernel * kernel..(ci + 1) * kernel * kernel],
-                                bias[ci],
-                                mults[ci],
-                                *out_zp,
-                                *relu,
-                                dst,
-                                oh,
-                                ow,
-                            );
-                        }
-                    });
-                }
-                Step::Linear {
-                    in_features,
-                    out_features,
-                    weight,
-                    folded_bias,
-                    mults,
-                    out_zp,
-                    relu,
-                    input,
-                    output,
-                } => {
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    for j in 0..*out_features {
-                        let wrow = &weight[j * in_features..(j + 1) * in_features];
-                        let mut a = folded_bias[j];
-                        for (&x, &wv) in inp.iter().zip(wrow.iter()) {
-                            a += x as i32 * wv as i32;
-                        }
-                        let mut q = requantize_to_i8(a, mults[j], *out_zp);
-                        if *relu && (q as i32) < *out_zp {
-                            q = (*out_zp).clamp(-128, 127) as i8;
-                        }
-                        outp[j] = q;
-                    }
-                }
-                Step::MaxPool {
-                    channels,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    input,
-                    output,
-                } => {
-                    let oh = (h - kernel) / stride + 1;
-                    let ow = (w - kernel) / stride + 1;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(*channels, oh * ow);
-                    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let ci = idx * ch_per_chunk + j;
-                            let plane = &inp[ci * h * w..(ci + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = i8::MIN;
-                                    for ky in 0..*kernel {
-                                        for kx in 0..*kernel {
-                                            best = best.max(
-                                                plane[(oy * stride + ky) * w + ox * stride + kx],
-                                            );
-                                        }
-                                    }
-                                    dst[oy * ow + ox] = best;
-                                }
-                            }
-                        }
-                    });
-                }
-                Step::AvgPool {
-                    channels,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    input,
-                    output,
-                } => {
-                    let oh = (h - kernel) / stride + 1;
-                    let ow = (w - kernel) / stride + 1;
-                    let div = (kernel * kernel) as i32;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    let pool = pool.for_work(channels * kernel * kernel * oh * ow);
-                    let chunk_len = pool.chunk_len_for(*channels, oh * ow);
-                    let ch_per_chunk = chunk_len / (oh * ow).max(1);
-                    pool.for_each_chunk(outp, chunk_len, |idx, chunk| {
-                        for (j, dst) in chunk.chunks_mut(oh * ow).enumerate() {
-                            let ci = idx * ch_per_chunk + j;
-                            let plane = &inp[ci * h * w..(ci + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut a = 0i32;
-                                    for ky in 0..*kernel {
-                                        for kx in 0..*kernel {
-                                            a += plane[(oy * stride + ky) * w + ox * stride + kx]
-                                                as i32;
-                                        }
-                                    }
-                                    let rounded = if a >= 0 {
-                                        (a + div / 2) / div
-                                    } else {
-                                        (a - div / 2) / div
-                                    };
-                                    dst[oy * ow + ox] = rounded.clamp(-128, 127) as i8;
-                                }
-                            }
-                        }
-                    });
-                }
-                Step::GlobalAvgPool {
-                    channels,
-                    h,
-                    w,
-                    input,
-                    output,
-                } => {
-                    let div = (h * w) as i32;
-                    let (inp, outp) =
-                        disjoint_pair(arena, self.buf_at(*input), self.buf_at(*output));
-                    for (ci, o) in outp.iter_mut().enumerate().take(*channels) {
-                        let plane = &inp[ci * h * w..(ci + 1) * h * w];
-                        let sum: i32 = plane.iter().map(|&v| v as i32).sum();
-                        let rounded = if sum >= 0 {
-                            (sum + div / 2) / div
-                        } else {
-                            (sum - div / 2) / div
-                        };
-                        *o = rounded.clamp(-128, 127) as i8;
-                    }
-                }
-                Step::ReluInPlace { zp, buf } => {
-                    let (off, len) = self.buf_at(*buf);
-                    let floor = (*zp).clamp(-128, 127) as i8;
-                    for v in &mut arena[off..off + len] {
-                        if (*v as i32) < *zp {
-                            *v = floor;
-                        }
-                    }
-                }
-            }
-            np_trace::finish(
-                self.step_spans[step_idx],
-                step_start,
-                self.step_bytes[step_idx],
-            );
-        }
-        np_trace::finish(self.frame_span, frame_start, 0);
-    }
-
-    fn buf_at(&self, id: usize) -> (usize, usize) {
-        (self.buf_offsets[id], self.buf_sizes[id])
+/// Lowers each of the `batch` equally-sized frames of `input` into its own
+/// consecutive slice of `lowered` — per frame byte-identical to a
+/// single-frame lowering, which is the layout the frame-count conv
+/// kernels consume.
+fn lower_frames<T>(input: &[i8], lowered: &mut [T], batch: usize, lower: impl Fn(&[i8], &mut [T])) {
+    let (frame_in, frame_low) = (input.len() / batch, lowered.len() / batch);
+    for b in 0..batch {
+        lower(
+            &input[b * frame_in..(b + 1) * frame_in],
+            &mut lowered[b * frame_low..(b + 1) * frame_low],
+        );
     }
 }
 

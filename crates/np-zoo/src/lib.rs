@@ -32,7 +32,6 @@ pub mod cache;
 pub mod channels;
 pub mod frontnet;
 pub mod mobilenet;
-pub mod prune;
 pub mod train;
 
 pub use channels::ModelId;

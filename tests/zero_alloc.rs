@@ -10,10 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nanopose::adaptive::{BatchCollector, FrameRunner};
+use nanopose::adaptive::FrameRunner;
 use nanopose::nn::init::{Initializer, SmallRng};
 use nanopose::nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, Linear, Relu};
-use nanopose::nn::{FScratch, FloatProgram, Sequential};
+use nanopose::nn::Sequential;
 use nanopose::quant::{QScratch, QuantizedNetwork};
 use nanopose::serve::{ServeConfig, Server, ServingEnsemble, SessionId};
 use nanopose::tensor::parallel::Pool;
@@ -199,21 +199,6 @@ fn steady_state_frames_do_not_allocate() {
         assert_eq!(n, 0, "forward_batched allocated in steady state");
     }
 
-    // --- Float program ---------------------------------------------------
-    let mut fnet = ModelId::F1.build_proxy(&mut rng);
-    let _ = fnet.forward_train(&calib);
-    let fprogram = FloatProgram::compile(&fnet, PROXY_INPUT);
-    let mut fscratch = FScratch::new();
-    let _ = fprogram.forward_prepacked(pool, &mut fscratch, frame.as_slice());
-    for _ in 0..3 {
-        let (n, _) =
-            allocs_during(|| fprogram.forward_prepacked(pool, &mut fscratch, frame.as_slice())[0]);
-        assert_eq!(
-            n, 0,
-            "FloatProgram::forward_prepacked allocated in steady state"
-        );
-    }
-
     // --- Streaming runner: both the ensemble and the small-only path -----
     let big = ModelId::M10.build_proxy(&mut rng);
     let qbig = QuantizedNetwork::quantize(&big, &calib);
@@ -233,31 +218,6 @@ fn steady_state_frames_do_not_allocate() {
         r.decision
     );
     assert!(!r.decision.runs_big(), "identical frame should stay small");
-
-    // --- Batch collector: stage + flush cycle ----------------------------
-    // Both halves of the collector's cadence must be allocation-free once
-    // its preallocated staging exists: staging pushes (a copy into the
-    // batch buffer) and the flush itself (batched little pass, policy
-    // walk, gathered batched big pass).
-    let mut collector = BatchCollector::new(&qnet, &qbig, PROXY_INPUT, 0.5, pool, 4, u64::MAX);
-    let warm = frames(1, 54);
-    for t in 0..4u64 {
-        let _ = collector.push(warm.as_slice(), t); // warm-up group
-    }
-    assert_eq!(collector.frames(), 4);
-    let (n, _) = allocs_during(|| {
-        for t in 0..3u64 {
-            assert!(collector.push(moved.as_slice(), t).is_none());
-        }
-        let results = collector.push(moved.as_slice(), 3).expect("full batch");
-        results.len()
-    });
-    assert_eq!(n, 0, "BatchCollector push/flush cycle allocated");
-    let (n, _) = allocs_during(|| {
-        let _ = collector.push(moved.as_slice(), 0);
-        collector.flush().len()
-    });
-    assert_eq!(n, 0, "BatchCollector partial flush allocated");
 
     // --- Serving: session slab + multiplexed tick loop -------------------
     // Admission hands out warm slab slots, and the steady submit → tick →
@@ -394,6 +354,63 @@ fn steady_state_frames_do_not_allocate() {
             });
             assert_eq!(n, 0, "instrumented run_int_prepacked allocated");
         }
+
+        // One step interpreter, two plans. On a batch-compiled program a
+        // per-frame pass records only into `{name}/NN-kind` and
+        // `{name}/frame`; a B=3 pass only into `{name}@batch/NN-kind`
+        // (3× the per-frame step bytes) and `{name}@batch/run`. The run
+        // span's bytes carry the pass's frame count. Summaries are read
+        // outside the counted windows.
+        let name = bprogram.name().to_string();
+        let recorded = || -> Vec<(String, u64)> {
+            nanopose::trace::summary()
+                .into_iter()
+                .filter(|s| s.count > 0)
+                .map(|s| {
+                    assert_eq!(s.count, 1, "{} recorded more than once per pass", s.name);
+                    (s.name, s.bytes)
+                })
+                .collect()
+        };
+        let q3 = &qbatch[..3 * q.len()];
+        let _ = bprogram.run_int_batched(pool, &mut bscratch, q3, 3);
+        nanopose::trace::reset();
+        let (n, _) = allocs_during(|| {
+            let (out, _) = bprogram.run_int_prepacked(pool, &mut bscratch, &q);
+            out[0]
+        });
+        assert_eq!(
+            n, 0,
+            "instrumented per-frame pass of a batched program allocated"
+        );
+        let per_frame = recorded();
+        let frame_span = (format!("{name}/frame"), 1);
+        assert_eq!(per_frame.last(), Some(&frame_span), "per-frame run span");
+        let steps = &per_frame[..per_frame.len() - 1];
+        assert!(!steps.is_empty(), "per-frame pass recorded no step spans");
+        for (span, _) in steps {
+            assert!(
+                span.starts_with(&format!("{name}/")) && !span.ends_with("/frame"),
+                "per-frame pass recorded into {span}"
+            );
+        }
+
+        nanopose::trace::reset();
+        let (n, _) = allocs_during(|| {
+            let (out, _) = bprogram.run_int_batched(pool, &mut bscratch, q3, 3);
+            out[0]
+        });
+        assert_eq!(n, 0, "instrumented run_int_batched allocated at B=3");
+        let batched = recorded();
+        let mut want: Vec<(String, u64)> = steps
+            .iter()
+            .map(|(span, bytes)| {
+                let step = &span[name.len() + 1..];
+                (format!("{name}@batch/{step}"), 3 * bytes)
+            })
+            .collect();
+        want.push((format!("{name}@batch/run"), 3));
+        assert_eq!(batched, want, "B=3 pass spans");
 
         let _ = runner.run_frame(frame.as_slice());
         for _ in 0..3 {
